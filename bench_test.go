@@ -64,10 +64,10 @@ func BenchmarkTable1WorkloadGeneration(b *testing.B) {
 func BenchmarkFigure1WasteVsBandwidth(b *testing.B) {
 	for _, bw := range []float64{40, 100, 160} {
 		b.Run(fmt.Sprintf("bw=%vGBps", bw), func(b *testing.B) {
+			session := repro.NewSession(repro.WithKeepWasteRatios(true))
 			for i := 0; i < b.N; i++ {
 				base := benchConfig(repro.Cielo(bw, 2), repro.Strategy{})
-				if _, err := repro.CompareStrategiesOpts(base, repro.LegendStrategies(), benchRuns, 0,
-					repro.MCOptions{KeepWasteRatios: true}); err != nil {
+				if _, err := session.Compare(context.Background(), base, repro.LegendStrategies(), benchRuns); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -80,10 +80,10 @@ func BenchmarkFigure1WasteVsBandwidth(b *testing.B) {
 func BenchmarkFigure2WasteVsMTBF(b *testing.B) {
 	for _, years := range []float64{2, 10, 50} {
 		b.Run(fmt.Sprintf("mtbf=%vy", years), func(b *testing.B) {
+			session := repro.NewSession(repro.WithKeepWasteRatios(true))
 			for i := 0; i < b.N; i++ {
 				base := benchConfig(repro.Cielo(40, years), repro.Strategy{})
-				if _, err := repro.CompareStrategiesOpts(base, repro.LegendStrategies(), benchRuns, 0,
-					repro.MCOptions{KeepWasteRatios: true}); err != nil {
+				if _, err := session.Compare(context.Background(), base, repro.LegendStrategies(), benchRuns); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -98,9 +98,10 @@ func BenchmarkFigure2WasteVsMTBF(b *testing.B) {
 func BenchmarkFigure3MinBandwidth(b *testing.B) {
 	for _, strat := range []repro.Strategy{repro.OrderedNBDaly(), repro.LeastWaste()} {
 		b.Run(strat.Name(), func(b *testing.B) {
+			session := repro.NewSession()
 			for i := 0; i < b.N; i++ {
 				cfg := benchConfig(repro.Prospective(1000, 15), strat)
-				if _, err := repro.MinBandwidthForEfficiency(cfg, 0.8, 50e9, 400e12, benchRuns, 0, 6); err != nil {
+				if _, err := session.MinBandwidth(context.Background(), cfg, 0.8, 50e9, 400e12, benchRuns, 6); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -282,12 +283,13 @@ func BenchmarkSessionReuse(b *testing.B) {
 	})
 }
 
-// BenchmarkSweepGrid measures the grid-level sweep scheduler against the
-// sequential per-point path on a strategy-heavy grid — every registered
-// strategy times token channels {1, 2} under sequential stopping, the
-// workload the work-stealing dispatch exists for. All variants produce
-// bit-identical results (pinned by TestSweepGridBitIdentity); wall-clock
-// and the cache hit rate are what's measured. Recorded in BENCH_*.json.
+// BenchmarkSweepGrid measures the grid scheduler on a strategy-heavy grid
+// — every registered strategy times token channels {1, 2} under
+// sequential stopping, the workload the work-stealing dispatch exists
+// for — at several worker counts and with a warm result cache. All
+// variants produce bit-identical results (pinned by
+// TestSweepGridBitIdentity); wall-clock and the cache hit rate are what's
+// measured.
 func BenchmarkSweepGrid(b *testing.B) {
 	ctx := context.Background()
 	base := benchConfig(repro.Cielo(40, 2), repro.Strategy{})
@@ -304,20 +306,14 @@ func BenchmarkSweepGrid(b *testing.B) {
 	variants := []struct {
 		name    string
 		workers int
-		opts    []repro.SessionOption
 	}{
-		{"sequential/w1", 1, []repro.SessionOption{repro.WithGridDispatch(false)}},
-		{"grid/w1", 1, nil},
-		{"grid/w4", 4, nil},
-		{fmt.Sprintf("grid/w%d", runtime.GOMAXPROCS(0)), 0, nil},
+		{"grid/w1", 1},
+		{"grid/w4", 4},
+		{fmt.Sprintf("grid/w%d", runtime.GOMAXPROCS(0)), 0},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			opts := append([]repro.SessionOption{
-				repro.WithWorkers(v.workers),
-				repro.WithTargetCI(0.02, 0, 4, 0),
-			}, v.opts...)
-			session := repro.NewSession(opts...)
+			session := repro.NewSession(repro.WithWorkers(v.workers), repro.WithTargetCI(0.02, 0, 4, 0))
 			sweepOnce(b, session) // warm the pool outside the timer
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -376,7 +372,7 @@ func BenchmarkMonteCarloStream(b *testing.B) {
 	cfg := benchConfig(repro.Cielo(40, 2), repro.OrderedNBDaly())
 	b.ReportAllocs()
 	b.ResetTimer()
-	mc, err := repro.MonteCarloStream(cfg, b.N, 0, nil)
+	mc, err := repro.NewSession().MonteCarlo(context.Background(), cfg, b.N)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -25,6 +25,11 @@ import (
 	"repro/internal/server"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot hold connections
+// open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	fs := flag.NewFlagSet("coopsimd", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080",
@@ -78,7 +83,7 @@ func run(addr, dataDir string, maxCampaigns, queueDepth, workers int, drainTimeo
 	// Print the bound address so scripts using -addr :0 can find us.
 	fmt.Printf("coopsimd: listening on http://%s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

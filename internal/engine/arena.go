@@ -22,8 +22,8 @@ import (
 // a fresh-build run of the same configuration and seed: every reset path
 // restores the exact initial state (see the package's arena tests).
 //
-// An Arena is not safe for concurrent use; Monte-Carlo drivers create one
-// per worker. Reconfigure swaps the scenario (bandwidth, MTBF, strategy,
+// An Arena is not safe for concurrent use; a Session holds one per
+// worker. Reconfigure swaps the scenario (bandwidth, MTBF, strategy,
 // failure model, ...) while keeping the pools, which is what makes
 // multi-point parameter sweeps cheap.
 type Arena struct {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"os"
 	"testing"
@@ -66,6 +67,12 @@ func mustRun(t *testing.T, cfg Config) Result {
 		t.Fatalf("Run(%s): %v", cfg.Strategy.Name(), err)
 	}
 	return res
+}
+
+// sessionMC runs one Monte-Carlo experiment on a fresh Session built with
+// the given options.
+func sessionMC(cfg Config, runs int, opts ...SessionOption) (MCResult, error) {
+	return NewSession(opts...).MonteCarlo(context.Background(), cfg, runs)
 }
 
 func TestStrategyNames(t *testing.T) {
@@ -383,7 +390,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestMonteCarlo(t *testing.T) {
 	cfg := tinyConfig(OrderedNBDaly(), 41)
-	mc, err := MonteCarlo(cfg, 6, 2)
+	mc, err := sessionMC(cfg, 6, WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true))
 	if err != nil {
 		t.Fatalf("MonteCarlo: %v", err)
 	}
@@ -395,7 +402,7 @@ func TestMonteCarlo(t *testing.T) {
 	}
 	// Replication must be deterministic and prefix-stable: run i is the
 	// same regardless of total run count.
-	mc2, err := MonteCarlo(cfg, 3, 1)
+	mc2, err := sessionMC(cfg, 3, WithWorkers(1), WithKeepResults(true), WithKeepWasteRatios(true))
 	if err != nil {
 		t.Fatalf("MonteCarlo: %v", err)
 	}
@@ -404,7 +411,7 @@ func TestMonteCarlo(t *testing.T) {
 			t.Fatalf("run %d not prefix-stable: %v vs %v", i, mc.WasteRatios[i], mc2.WasteRatios[i])
 		}
 	}
-	if _, err := MonteCarlo(cfg, 0, 1); err == nil {
+	if _, err := sessionMC(cfg, 0, WithWorkers(1)); err == nil {
 		t.Error("zero runs accepted")
 	}
 }
@@ -412,9 +419,9 @@ func TestMonteCarlo(t *testing.T) {
 func TestCompareStrategies(t *testing.T) {
 	cfg := tinyConfig(OrderedDaly(), 43)
 	strats := []Strategy{ObliviousDaly(), LeastWaste()}
-	out, err := CompareStrategies(cfg, strats, 3, 2)
+	out, err := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true)).Compare(context.Background(), cfg, strats, 3)
 	if err != nil {
-		t.Fatalf("CompareStrategies: %v", err)
+		t.Fatalf("Compare: %v", err)
 	}
 	if len(out) != 2 || out[0].Strategy != "Oblivious-Daly" || out[1].Strategy != "Least-Waste" {
 		t.Fatalf("unexpected output: %+v", out)
@@ -429,9 +436,11 @@ func TestMinBandwidthForEfficiency(t *testing.T) {
 	cfg.HorizonDays = 4
 	cfg.Gen.MinDays = 4
 	lo, hi := units.GBps(0.05), units.GBps(50)
-	bw, err := MinBandwidthForEfficiency(cfg, 0.6, lo, hi, 2, 2, 8)
+	s := NewSession(WithWorkers(2))
+	ctx := context.Background()
+	bw, err := s.MinBandwidth(ctx, cfg, 0.6, lo, hi, 2, 8)
 	if err != nil {
-		t.Fatalf("MinBandwidthForEfficiency: %v", err)
+		t.Fatalf("MinBandwidth: %v", err)
 	}
 	if bw < lo || bw > hi {
 		t.Fatalf("returned bandwidth %v outside bracket", bw)
@@ -439,17 +448,17 @@ func TestMinBandwidthForEfficiency(t *testing.T) {
 	// The mean waste at the found bandwidth must meet the target.
 	check := cfg
 	check.Platform.BandwidthBps = bw
-	mc, err := MonteCarlo(check, 2, 2)
+	mc, err := sessionMC(check, 2, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mc.Summary.Mean > 0.4+1e-9 {
 		t.Fatalf("waste %v at returned bandwidth exceeds target 0.4", mc.Summary.Mean)
 	}
-	if _, err := MinBandwidthForEfficiency(cfg, 1.5, lo, hi, 1, 1, 4); err == nil {
+	if _, err := s.MinBandwidth(ctx, cfg, 1.5, lo, hi, 1, 4); err == nil {
 		t.Error("invalid target accepted")
 	}
-	if _, err := MinBandwidthForEfficiency(cfg, 0.8, hi, lo, 1, 1, 4); err == nil {
+	if _, err := s.MinBandwidth(ctx, cfg, 0.8, hi, lo, 1, 4); err == nil {
 		t.Error("inverted bracket accepted")
 	}
 }

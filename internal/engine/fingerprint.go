@@ -147,7 +147,7 @@ func cloneMCResult(mc MCResult) MCResult {
 	return mc
 }
 
-// sweepMemo is the per-sweep memo both Sweep paths consult: an in-grid
+// sweepMemo is the per-sweep memo the grid scheduler consults: an in-grid
 // tier (repeated cells within one grid — the k-axis × shared-device case)
 // backed by the session's ResultCache, when one is installed. A nil memo
 // disables memoisation (per-run observers must see every simulation).

@@ -9,22 +9,31 @@ import (
 	"repro/internal/faultinject"
 )
 
-// This file is the grid-level sweep scheduler (WithGridDispatch): the
-// whole grid runs as one experiment whose unit of dispatch is a
+// This file is the engine's Monte-Carlo scheduler. Every experiment runs
+// here as a grid of one or more points: a Sweep is the whole scenario
+// grid, while MonteCarlo, MonteCarloResume, each ComparePaired leg and
+// each MinBandwidth probe are one-point grids. The unit of dispatch is a
 // (point, replicate-chunk) work item. Workers steal across point
 // boundaries — no worker idles at a point boundary while any point in
 // the dispatch horizon still has work — while the coordinator (the
-// caller's goroutine, inside the pull iterator) folds each point's
-// replicates in strict run order through the same mcFold the sequential
-// driver uses and releases finished points to the consumer in grid
-// order through a bounded reorder window.
+// caller's goroutine) folds each point's replicates in strict run order
+// through its mcFold and releases finished points in grid order through
+// a bounded reorder window.
 //
-// Bit-identity with the sequential schedule holds by construction:
-// replicate i of a point is a pure function of (cfg.Seed, i) under the
-// CRN schedule regardless of which worker simulates it, and all
-// aggregation — including sequential-stopping decisions, which are
-// evaluated at the same fold boundaries on the same prefix — happens in
-// per-point run order on the coordinator.
+// Results do not depend on the schedule: replicate i of a point is a
+// pure function of (cfg.Seed, i) under the CRN schedule regardless of
+// which worker simulates it, and all aggregation — including
+// sequential-stopping decisions, which are evaluated at fold boundaries
+// on the in-order prefix — happens in per-point run order on the
+// coordinator.
+
+// gridPoint is one experiment of a grid: a resolved configuration, its
+// replication count, and the options its replicates fold under.
+type gridPoint struct {
+	cfg  Config
+	runs int
+	opts MCOptions
+}
 
 // gridItem is one simulated replicate in flight from a worker to the
 // coordinator. Every dispatched run index produces exactly one item: a
@@ -41,10 +50,11 @@ type gridItem struct {
 // gridPointState tracks one grid point. The scheduling counters (cursor,
 // foldedPub, active) are shared with workers under gridSweep.mu; the
 // fold state (fold, pending, nextFold, mc, err, done) belongs to the
-// coordinator alone.
+// coordinator alone; cfg and anti are immutable once workers start.
 type gridPointState struct {
-	cfg Config
-	key string
+	cfg  Config
+	anti bool
+	key  string
 	// dupOf is the lowest-index grid point with the same content
 	// address (-1 when this point is the canonical cell): the
 	// provably-duplicate k-axis × shared-device case SweepGrid
@@ -59,7 +69,7 @@ type gridPointState struct {
 	total    int
 	mc       MCResult
 	err      error
-	invalid  bool // err came from configuration validation at setup
+	invalid  bool // err came from validation at setup
 	done     bool
 
 	// Scheduling state, guarded by gridSweep.mu.
@@ -68,23 +78,24 @@ type gridPointState struct {
 	active    bool // dispatchable: not done, not errored, not a duplicate
 }
 
-// gridSweep is one grid-scheduled sweep execution.
+// gridSweep is one grid execution.
 type gridSweep struct {
 	states []*gridPointState
 	arenas []*Arena
-	anti   bool
 
-	// chunk is the work-item length: a batch under fixed replication,
-	// single runs (pairs under antithetic) under sequential stopping so
-	// speculation past a stopping decision stays as bounded as the
-	// sequential driver's dispatch gate.
+	// chunk is the work-item length: min(8, ceil(remaining/workers))
+	// under fixed replication, so even a one-point grid spreads over
+	// every worker; single runs (pairs under antithetic) under
+	// sequential stopping, so speculation past a stopping decision
+	// stays bounded.
 	chunk int
-	// window bounds per-point dispatch past the fold frontier — the
-	// same 4×workers speculation bound the sequential driver's reorder
-	// gate enforces, which also caps the pending map per point.
+	// window bounds per-point dispatch past the fold frontier (4 ×
+	// workers), which also caps the pending map per point.
 	window int
 	// lookahead bounds dispatch past the yield frontier in points,
 	// capping how many finished MCResults the reorder window can hold.
+	// It is 1 when a point carries an OnResult observer, so the hook
+	// sees the whole experiment in point-major, run-ascending order.
 	lookahead int
 
 	mu   sync.Mutex
@@ -93,9 +104,8 @@ type gridSweep struct {
 	// delivered to the consumer. Written by the coordinator only.
 	nextYield int
 	// errPoint is the lowest grid point that failed; dispatch freezes at
-	// it (points before it still complete, exactly the prefix the
-	// sequential schedule would have delivered) and the sweep surfaces
-	// its error when the yield frontier reaches it.
+	// it (points before it still complete and deliver) and the grid
+	// surfaces its error when the yield frontier reaches it.
 	errPoint int
 	halted   bool
 
@@ -103,88 +113,41 @@ type gridSweep struct {
 	memo *sweepMemo
 }
 
-// sweepGrid evaluates the grid under the grid-level scheduler. It is
-// pinned bit-identical to sweepSequential (including MCResult.Cached
-// provenance) for every combination of options that routes here.
-func (s *Session) sweepGrid(ctx context.Context, base Config, pts []SweepPoint, runs int, yield func(SweepPoint, MCResult) bool) error {
-	if len(pts) == 0 {
-		return nil
-	}
-	if runs <= 0 {
-		return sweepPointErr(pts[0], fmt.Errorf("engine: non-positive run count %d", runs))
-	}
-	// The pool sizes to the total outstanding grid work, not any single
-	// point's replication count: a 30-point × 4-run grid keeps 16 workers
-	// busy even though no point alone would.
-	arenas := s.arenasFor(len(pts) * runs)
-	workers := len(arenas)
-
+// runGrid evaluates the points as one experiment on the session pool and
+// hands each finished point to yield in point order; a false return stops
+// the grid. memo, when non-nil, deduplicates and caches points by content
+// address (Sweep only). progress, when non-nil, observes the running
+// count of replicates folded across the grid. On failure runGrid returns
+// the index of the point the error belongs to, so a Sweep can attribute
+// it; a point-level error is returned unwrapped.
+func (s *Session) runGrid(ctx context.Context, pts []gridPoint, memo *sweepMemo, progress func(folded int), yield func(p int, mc MCResult) bool) (int, error) {
 	g := &gridSweep{
 		states:    make([]*gridPointState, len(pts)),
-		arenas:    arenas,
-		anti:      s.opts.Antithetic,
-		chunk:     8,
-		window:    4 * workers,
-		lookahead: 2*workers + 2,
 		errPoint:  len(pts),
+		lookahead: 1,
 		dups:      map[int][]int{},
-		memo:      newSweepMemo(s, runs),
+		memo:      memo,
 	}
 	g.cond = sync.NewCond(&g.mu)
-	if s.opts.TargetCI.withDefaults().HalfWidth > 0 {
-		g.chunk = 1
-		if g.anti {
-			g.chunk = 2
-		}
-	}
 
+	need, remaining := 0, 0
+	seqOn, anti, observed := false, false, false
 	keyOwner := map[string]int{}
-	for idx, pt := range pts {
-		cfg := pt.Apply(base)
-		st := &gridPointState{cfg: cfg, dupOf: -1}
-		g.states[idx] = st
-		if err := cfg.Validate(); err != nil {
-			st.err, st.invalid = err, true
-			if idx < g.errPoint {
-				g.errPoint = idx
-			}
-			continue
+	for p, gp := range pts {
+		need += max(gp.runs, 0)
+		observed = observed || gp.opts.OnResult != nil
+		st := g.setup(p, gp, keyOwner)
+		if st.active {
+			remaining += st.total - st.cursor
+			seqOn = seqOn || st.fold.seqOn
+			anti = anti || st.anti
 		}
-		st.key = g.memo.key(cfg)
-		if st.key != "" {
-			if owner, ok := keyOwner[st.key]; ok {
-				st.dupOf = owner
-				if can := g.states[owner]; can.done {
-					st.mc = cloneMCResult(can.mc)
-					st.mc.Cached = true
-					st.done = true
-				} else {
-					g.dups[owner] = append(g.dups[owner], idx)
-				}
-				continue
-			}
-			keyOwner[st.key] = idx
-			if mc, ok := g.memo.lookup(st.key); ok {
-				st.mc = mc
-				st.done = true
-				continue
-			}
-		}
-		st.fold = newMCFold(cfg, runs, s.opts)
-		st.total = st.fold.total
-		st.pending = make(map[int]gridItem, g.window)
-		st.active = true
 	}
-
-	// One global monotone progress counter spans the grid: replicates of
-	// concurrent points fold interleaved, so per-point offsets (the
-	// sequential schedule's doneBase) would run backwards here.
-	totalRuns := len(pts) * runs
-	if s.progress != nil {
-		gDone := 0
-		report := func(int) {
-			gDone++
-			s.progress(gDone, totalRuns)
+	if progress != nil {
+		folded := 0
+		report := func() {
+			folded++
+			progress(folded)
 		}
 		for _, st := range g.states {
 			if st.fold != nil {
@@ -193,6 +156,31 @@ func (s *Session) sweepGrid(ctx context.Context, base Config, pts []SweepPoint, 
 		}
 	}
 
+	// The pool sizes to the total grid work, not any single point's
+	// replication count: a 30-point × 4-run grid keeps 16 workers busy
+	// even though no point alone would.
+	g.arenas = s.arenasFor(need)
+	workers := min(len(g.arenas), remaining)
+	g.window = 4 * workers
+	if !observed {
+		g.lookahead = 2*workers + 2
+	}
+	switch {
+	case seqOn && anti:
+		g.chunk = 2
+	case seqOn || workers == 0:
+		g.chunk = 1
+	default:
+		g.chunk = min(8, (remaining+workers-1)/workers)
+	}
+	for _, st := range g.states {
+		if st.active {
+			st.pending = make(map[int]gridItem, g.window)
+		}
+	}
+
+	// Buffered to the speculation window, so a worker rarely blocks on
+	// a coordinator busy folding or yielding.
 	resCh := make(chan gridItem, 4*workers+4)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -207,8 +195,8 @@ func (s *Session) sweepGrid(ctx context.Context, base Config, pts []SweepPoint, 
 		close(resCh)
 	}()
 	// Halt dispatch and drain on every exit — error, cancellation, early
-	// break, even a panicking yield — so the iterator never leaks a
-	// worker goroutine past its return.
+	// break, even a panicking yield — so the grid never leaks a worker
+	// goroutine past its return.
 	defer func() {
 		g.mu.Lock()
 		g.halted = true
@@ -219,26 +207,26 @@ func (s *Session) sweepGrid(ctx context.Context, base Config, pts []SweepPoint, 
 	}()
 
 	for {
-		// Release finished points in grid order. The checks mirror the
-		// sequential schedule's per-point entry: an invalid
-		// configuration surfaces at its point, cancellation surfaces at
-		// the first point not yet delivered when it was observed.
+		// Release finished points in grid order: an invalid point
+		// surfaces at its position, cancellation at the first point not
+		// yet delivered when it was observed.
 		for g.nextYield < len(pts) {
-			st := g.states[g.nextYield]
+			p := g.nextYield
+			st := g.states[p]
 			if st.invalid {
-				return sweepPointErr(pts[g.nextYield], st.err)
+				return p, st.err
 			}
 			if e := ctx.Err(); e != nil {
-				return sweepPointErr(pts[g.nextYield], e)
+				return p, e
 			}
 			if st.err != nil {
-				return sweepPointErr(pts[g.nextYield], st.err)
+				return p, st.err
 			}
 			if !st.done {
 				break
 			}
-			if !yield(pts[g.nextYield], st.mc) {
-				return nil
+			if !yield(p, st.mc) {
+				return -1, nil
 			}
 			g.mu.Lock()
 			g.nextYield++
@@ -246,25 +234,103 @@ func (s *Session) sweepGrid(ctx context.Context, base Config, pts []SweepPoint, 
 			g.mu.Unlock()
 		}
 		if g.nextYield == len(pts) {
-			return nil
+			return -1, nil
 		}
 		select {
 		case it, ok := <-resCh:
 			if !ok {
 				// Workers only exit once halted, which only the defer
 				// sets — unreachable, but fail loudly over hanging.
-				return fmt.Errorf("engine: grid sweep: result channel closed with %d points pending", len(pts)-g.nextYield)
+				return g.nextYield, fmt.Errorf("engine: grid: result channel closed with %d points pending", len(pts)-g.nextYield)
 			}
-			g.process(it)
+			g.process(ctx, it)
 		case <-ctx.Done():
 			// Surfaced by the yield loop's ctx check next iteration.
 		}
 	}
 }
 
+// setup validates point p, resolves it against the memo (an in-grid
+// duplicate or a cache hit finishes it without simulation), and otherwise
+// builds its fold — restored from the resume snapshot when there is one,
+// with dispatch starting at the snapshot's first unfolded run.
+func (g *gridSweep) setup(p int, gp gridPoint, keyOwner map[string]int) *gridPointState {
+	st := &gridPointState{cfg: gp.cfg, anti: gp.opts.Antithetic, dupOf: -1}
+	g.states[p] = st
+	invalid := func(err error) *gridPointState {
+		st.err, st.invalid = err, true
+		g.errPoint = min(g.errPoint, p)
+		return st
+	}
+	if gp.runs <= 0 {
+		return invalid(fmt.Errorf("engine: non-positive run count %d", gp.runs))
+	}
+	if err := gp.cfg.Validate(); err != nil {
+		return invalid(err)
+	}
+	st.key = g.memo.key(gp.cfg)
+	if st.key != "" {
+		if owner, ok := keyOwner[st.key]; ok {
+			st.dupOf = owner
+			if can := g.states[owner]; can.done {
+				st.mc = cloneMCResult(can.mc)
+				st.mc.Cached = true
+				st.done = true
+			} else {
+				g.dups[owner] = append(g.dups[owner], p)
+			}
+			return st
+		}
+		keyOwner[st.key] = p
+		if mc, ok := g.memo.lookup(st.key); ok {
+			st.mc = mc
+			st.done = true
+			return st
+		}
+	}
+	f, err := newPointFold(gp)
+	if err != nil {
+		return invalid(err)
+	}
+	st.fold = f
+	st.total = f.total
+	st.nextFold, st.cursor, st.foldedPub = f.folded, f.folded, f.folded
+	if st.nextFold == st.total {
+		// A resume snapshot that already folds the whole budget.
+		st.mc = f.finalize()
+		st.done = true
+		return st
+	}
+	st.active = true
+	return st
+}
+
+// newPointFold builds a point's fold, validating and applying its resume
+// snapshot. Snapshots are defined only on the streaming path.
+func newPointFold(gp gridPoint) (*mcFold, error) {
+	opts := gp.opts
+	materialising := opts.KeepResults || opts.KeepWasteRatios
+	if opts.resume != nil && materialising {
+		return nil, fmt.Errorf("engine: resume requires the streaming path (no KeepResults/KeepWasteRatios)")
+	}
+	if opts.onSnapshot != nil && materialising {
+		return nil, fmt.Errorf("engine: snapshots require the streaming path (no KeepResults/KeepWasteRatios)")
+	}
+	f := newMCFold(gp.cfg, gp.runs, opts)
+	if rs := opts.resume; rs != nil {
+		if rs.Folded < 0 || rs.Folded > f.total {
+			return nil, fmt.Errorf("engine: resume snapshot folds %d replicates, experiment has %d", rs.Folded, f.total)
+		}
+		if err := f.restore(rs); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
 // work is one grid worker: claim a work item, simulate its runs on this
 // worker's arena (reconfigured when the claim switches points), send one
-// item per run. Exits when next reports the sweep halted.
+// item per run. Exits when next reports the grid halted.
 func (g *gridSweep) work(ctx context.Context, w int, resCh chan<- gridItem) {
 	lastP := -1
 	reconfigured := false
@@ -277,7 +343,7 @@ func (g *gridSweep) work(ctx context.Context, w int, resCh chan<- gridItem) {
 			lastP = p
 			reconfigured = false
 		}
-		cfg := g.states[p].cfg
+		st := g.states[p]
 		var claimErr error
 		if faultinject.Armed() {
 			claimErr = fireGridDispatch(ctx, p, i, n)
@@ -291,7 +357,7 @@ func (g *gridSweep) work(ctx context.Context, w int, resCh chan<- gridItem) {
 				resCh <- gridItem{p: p, i: k, err: err, canceled: true}
 				continue
 			}
-			r, err := runReplicate(ctx, g.arenas, w, &reconfigured, cfg, k, g.anti)
+			r, err := runReplicate(ctx, g.arenas, w, &reconfigured, st.cfg, k, st.anti)
 			resCh <- gridItem{p: p, i: k, r: r, err: err}
 		}
 	}
@@ -314,7 +380,7 @@ func fireGridDispatch(ctx context.Context, p, i, n int) (err error) {
 // that point has dispatchable work (keeping the arena configured), else
 // the lowest-index point in the dispatch horizon — work stealing across
 // point boundaries. Blocks while no work is eligible; returns p = -1
-// once the sweep halts.
+// once the grid halts.
 func (g *gridSweep) next(lastP int) (p, i, n int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -359,15 +425,16 @@ func (g *gridSweep) eligibleLocked(p int) bool {
 // the point's contiguous prefix in run order, and finalize the point when
 // its stopping rule fires or its budget completes. Items for points that
 // already finished (runs speculated past a stop, or past a failure) are
-// dropped, exactly as the sequential driver ignores post-stop deliveries.
-func (g *gridSweep) process(it gridItem) {
+// dropped. Folding halts as soon as ctx is done, so the results observed
+// before a cancellation form an exact in-order prefix.
+func (g *gridSweep) process(ctx context.Context, it gridItem) {
 	st := g.states[it.p]
 	if st.done || st.err != nil || it.canceled {
 		return
 	}
 	st.pending[it.i] = it
 	changed := false
-	for {
+	for ctx.Err() == nil {
 		q, ok := st.pending[st.nextFold]
 		if !ok {
 			break
@@ -378,9 +445,7 @@ func (g *gridSweep) process(it gridItem) {
 			st.pending = nil
 			g.mu.Lock()
 			st.active = false
-			if it.p < g.errPoint {
-				g.errPoint = it.p
-			}
+			g.errPoint = min(g.errPoint, it.p)
 			g.cond.Broadcast()
 			g.mu.Unlock()
 			return

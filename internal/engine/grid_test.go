@@ -31,31 +31,86 @@ func collectSweep(t *testing.T, s *Session, base Config, grid SweepGrid, runs in
 	return pts, mcs
 }
 
-// TestSweepGridBitIdentity pins the grid scheduler's core contract:
-// whatever the worker count and steal interleaving, a grid-dispatched
-// Sweep delivers bit-identical results to the sequential per-point path —
-// across every registered strategy, both event schedulers, fixed-runs and
-// sequential-stopping experiments, and antithetic pairing.
+// serialMonteCarlo is the serial reference the scheduler is pinned
+// against: one arena, run indices in ascending order from the resume
+// point, folded through newMCFold on the calling goroutine.
+func serialMonteCarlo(t *testing.T, cfg Config, runs int, opts MCOptions) MCResult {
+	t.Helper()
+	a, err := NewArena(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newMCFold(cfg, runs, opts)
+	if opts.resume != nil {
+		if err := f.restore(opts.resume); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := f.folded; i < f.total; i++ {
+		seed, anti := replicateDraw(cfg.Seed, i, opts.Antithetic)
+		r, err := a.RunAnti(seed, anti)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.fold(i, r) {
+			break
+		}
+	}
+	return f.finalize()
+}
+
+// serialSweep evaluates a grid point by point through serialMonteCarlo,
+// serving repeated content addresses as Cached clones exactly as Sweep's
+// in-grid deduplication does.
+func serialSweep(t *testing.T, base Config, grid SweepGrid, runs int, opts MCOptions) []MCResult {
+	t.Helper()
+	seen := map[string]MCResult{}
+	var out []MCResult
+	for _, pt := range grid.Points(base) {
+		cfg := pt.Apply(base)
+		key, cacheable := ExperimentKey(cfg, runs, opts)
+		mc, dup := seen[key]
+		if cacheable && dup {
+			mc = cloneMCResult(mc)
+			mc.Cached = true
+		} else {
+			mc = serialMonteCarlo(t, cfg, runs, opts)
+			if cacheable {
+				seen[key] = mc
+			}
+		}
+		out = append(out, mc)
+	}
+	return out
+}
+
+// bitIdentityVariants are the Monte-Carlo modes the scheduler is pinned
+// bit-identical to the serial reference in.
+var bitIdentityVariants = []struct {
+	name string
+	opts []SessionOption
+	runs int
+}{
+	{"fixed", nil, 4},
+	{"target-ci", []SessionOption{WithTargetCI(0.05, 0, 2, 0)}, 16},
+	{"antithetic", []SessionOption{WithAntithetic(true)}, 4},
+	{"antithetic-target-ci", []SessionOption{WithAntithetic(true), WithTargetCI(0.05, 0, 2, 0)}, 16},
+}
+
+// TestSweepGridBitIdentity pins the scheduler's core contract: whatever
+// the worker count and steal interleaving, a Sweep delivers results
+// bit-identical to the serial reference — across every registered
+// strategy, both event schedulers, fixed-runs and sequential-stopping
+// experiments, and antithetic pairing.
 func TestSweepGridBitIdentity(t *testing.T) {
 	base := tinyConfig(Strategy{}, 7)
 	grid := SweepGrid{Strategies: AllStrategies(), Channels: []int{1, 2}}
-	variants := []struct {
-		name string
-		opts []SessionOption
-		runs int
-	}{
-		{"fixed", nil, 4},
-		{"target-ci", []SessionOption{WithTargetCI(0.05, 0, 2, 0)}, 16},
-		{"antithetic", []SessionOption{WithAntithetic(true)}, 4},
-		{"antithetic-target-ci", []SessionOption{WithAntithetic(true), WithTargetCI(0.05, 0, 2, 0)}, 16},
-	}
 	for _, sched := range []string{SchedulerHeap4, SchedulerCalendar} {
 		cfg := base
 		cfg.Scheduler = sched
-		for _, v := range variants {
+		for _, v := range bitIdentityVariants {
 			t.Run(sched+"/"+v.name, func(t *testing.T) {
-				seqOpts := append([]SessionOption{WithWorkers(1), WithGridDispatch(false)}, v.opts...)
-				_, want := collectSweep(t, NewSession(seqOpts...), cfg, grid, v.runs)
+				want := serialSweep(t, cfg, grid, v.runs, NewSession(v.opts...).opts)
 				for _, workers := range []int{1, 3, 7} {
 					gridOpts := append([]SessionOption{WithWorkers(workers)}, v.opts...)
 					pts, got := collectSweep(t, NewSession(gridOpts...), cfg, grid, v.runs)
@@ -64,7 +119,7 @@ func TestSweepGridBitIdentity(t *testing.T) {
 					}
 					for i := range want {
 						if !reflect.DeepEqual(got[i], want[i]) {
-							t.Errorf("workers=%d point %d (%s): grid result diverges from sequential\n got %+v\nwant %+v",
+							t.Errorf("workers=%d point %d (%s): grid result diverges from the serial reference\n got %+v\nwant %+v",
 								workers, i, pts[i].Strategy.Name(), got[i], want[i])
 						}
 					}
@@ -74,19 +129,59 @@ func TestSweepGridBitIdentity(t *testing.T) {
 	}
 }
 
+// TestMonteCarloResumeGridBitIdentity: an experiment resumed from a
+// mid-point snapshot on the scheduler equals the uninterrupted serial
+// reference, in every Monte-Carlo mode and at every worker count.
+func TestMonteCarloResumeGridBitIdentity(t *testing.T) {
+	ctx := context.Background()
+	for _, v := range bitIdentityVariants {
+		t.Run(v.name, func(t *testing.T) {
+			for _, strat := range []Strategy{OrderedNBDaly(), LeastWaste()} {
+				cfg := tinyConfig(strat, 13)
+				opts := NewSession(v.opts...).opts
+				want := serialMonteCarlo(t, cfg, v.runs, opts)
+				var snaps []MCSnapshot
+				snapOpts := opts
+				snapOpts.onSnapshot = func(s MCSnapshot) { snaps = append(snaps, s) }
+				serialMonteCarlo(t, cfg, v.runs, snapOpts)
+				mid := snaps[len(snaps)/2]
+				for _, workers := range []int{1, 3, 7} {
+					s := NewSession(append([]SessionOption{WithWorkers(workers)}, v.opts...)...)
+					got, err := s.MonteCarloResume(ctx, cfg, v.runs, ResumeSpec{From: &mid})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s workers=%d resumed at %d: diverges from the serial reference\n got %+v\nwant %+v",
+							strat.Name(), workers, mid.Folded, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestSweepGridDedupe: grid cells whose content address coincides — the
 // token-channel axis of a shared-device strategy — are simulated once and
-// served as clones flagged Cached, on both execution paths.
+// served as clones flagged Cached, both by the scheduler (grid=true) and
+// by the serial reference (grid=false), and the two agree byte for byte.
 func TestSweepGridDedupe(t *testing.T) {
 	base := tinyConfig(Strategy{}, 3)
 	grid := SweepGrid{
 		Strategies: []Strategy{ObliviousDaly(), OrderedDaly()},
 		Channels:   []int{1, 2, 4},
 	}
+	pts := grid.Points(base)
+	serial := serialSweep(t, base, grid, 4, MCOptions{})
 	for _, gridDispatch := range []bool{true, false} {
 		t.Run(fmt.Sprintf("grid=%v", gridDispatch), func(t *testing.T) {
-			s := NewSession(WithWorkers(2), WithGridDispatch(gridDispatch))
-			pts, mcs := collectSweep(t, s, base, grid, 4)
+			mcs := serial
+			if gridDispatch {
+				_, mcs = collectSweep(t, NewSession(WithWorkers(2)), base, grid, 4)
+				if !reflect.DeepEqual(mcs, serial) {
+					t.Errorf("deduplicated sweep diverges from the serial reference")
+				}
+			}
 			canonical := map[string]MCResult{}
 			for i, mc := range mcs {
 				shared := !pts[i].Strategy.Discipline.UsesToken()
@@ -393,8 +488,8 @@ func TestExperimentKey(t *testing.T) {
 }
 
 // TestSweepGridOnResultFallsBackSequential: the per-run observation hook
-// guarantees strict run order within and across points, so a session with
-// OnResult must route Sweep through the sequential path.
+// guarantees strict run order within and across points, so a session
+// with OnResult dispatches the sweep one point at a time.
 func TestSweepGridOnResultFallsBackSequential(t *testing.T) {
 	var order []int
 	s := NewSession(WithWorkers(4), WithOnResult(func(i int, _ Result) { order = append(order, i) }))
@@ -404,5 +499,81 @@ func TestSweepGridOnResultFallsBackSequential(t *testing.T) {
 	want := []int{0, 1, 2, 0, 1, 2}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("OnResult order = %v, want strict per-point run order %v", order, want)
+	}
+}
+
+// runObservation is one OnResult delivery: the run index and its waste.
+type runObservation struct {
+	i     int
+	waste float64
+}
+
+// TestSweepGridOnResultOrder pins the dispatch horizon: with an OnResult
+// observer the scheduler releases one point at a time, so the hook sees
+// the whole sweep in point-major, run-ascending order — exactly the
+// serial reference's delivery sequence — at any worker count, with and
+// without sequential stopping.
+func TestSweepGridOnResultOrder(t *testing.T) {
+	base := tinyConfig(Strategy{}, 2)
+	grid := SweepGrid{Strategies: []Strategy{ObliviousDaly(), OrderedDaly(), LeastWaste()}}
+	for _, v := range bitIdentityVariants[:2] { // fixed and target-ci
+		t.Run(v.name, func(t *testing.T) {
+			var want []runObservation
+			opts := NewSession(v.opts...).opts
+			opts.OnResult = func(i int, r Result) { want = append(want, runObservation{i, r.WasteRatio}) }
+			serialSweep(t, base, grid, v.runs, opts)
+			for _, workers := range []int{1, 3, 7} {
+				var got []runObservation
+				s := NewSession(append([]SessionOption{WithWorkers(workers),
+					WithOnResult(func(i int, r Result) { got = append(got, runObservation{i, r.WasteRatio}) })},
+					v.opts...)...)
+				collectSweep(t, s, base, grid, v.runs)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("workers=%d: OnResult sequence %v, want the serial order %v", workers, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestMonteCarloChunkSpreadsOverWorkers pins the chunk derivation: a
+// fixed-runs experiment smaller than the chunk cap still splits across
+// the workers (4 runs on 2 workers claim two chunks of 2), so a one-point
+// grid — every campaign point — keeps its parallelism.
+func TestMonteCarloChunkSpreadsOverWorkers(t *testing.T) {
+	// Hold the first claim until a second one arrives, so the split is
+	// observed deterministically instead of raced: a worker that has
+	// finished its chunk could otherwise steal the rest before the
+	// other worker starts.
+	var mu sync.Mutex
+	var claims []faultinject.GridDispatch
+	second := make(chan struct{})
+	restore := faultinject.Set(faultinject.SiteGridDispatch, func(_ context.Context, detail any) error {
+		mu.Lock()
+		claims = append(claims, detail.(faultinject.GridDispatch))
+		n := len(claims)
+		mu.Unlock()
+		switch n {
+		case 1:
+			select {
+			case <-second:
+			case <-time.After(time.Second):
+			}
+		case 2:
+			close(second)
+		}
+		return nil
+	})
+	defer restore()
+
+	s := NewSession(WithWorkers(2))
+	if _, err := s.MonteCarlo(context.Background(), tinyConfig(LeastWaste(), 3), 4); err != nil {
+		t.Fatal(err)
+	}
+	if len(claims) != 2 || claims[0].Len != 2 || claims[1].Len != 2 {
+		t.Errorf("4 runs on 2 workers claimed %+v, want two chunks of 2", claims)
+	}
+	if len(s.arenas) != 2 || s.arenas[0] == nil || s.arenas[1] == nil {
+		t.Fatalf("4-run experiment on 2 workers left arenas %v; want both worker slots used", s.arenas)
 	}
 }

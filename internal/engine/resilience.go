@@ -82,5 +82,9 @@ func (s *Session) MonteCarloResume(ctx context.Context, cfg Config, runs int, sp
 	opts.resume = spec.From
 	opts.onSnapshot = spec.OnSnapshot
 	opts.snapshotEvery = spec.SnapshotEvery
-	return s.monteCarlo(ctx, cfg, runs, opts, 0, runs)
+	base := 0
+	if spec.From != nil {
+		base = spec.From.Folded
+	}
+	return s.monteCarlo(ctx, cfg, runs, opts, s.progressFrom(base, runs))
 }

@@ -15,7 +15,10 @@ import (
 // per-worker simulation arenas for its whole lifetime, so a campaign that
 // chains several experiments (fig1 + fig2 + fig3, or a long bisection)
 // reuses one warm set of pools instead of rebuilding the simulation state
-// per entry point.
+// per entry point. Every Monte-Carlo experiment runs on the same grid
+// scheduler (grid.go): a Sweep as the whole grid, MonteCarlo,
+// MonteCarloResume, each ComparePaired leg and each MinBandwidth probe
+// as a one-point grid.
 //
 // Every method takes a context.Context and honours cancellation and
 // deadlines at replicate boundaries: no new replicate starts once the
@@ -42,10 +45,6 @@ type Session struct {
 	// Session's lifetime. Slot w belongs to worker w; an arena configured
 	// for an earlier scenario is reconfigured in place, never rebuilt.
 	arenas []*Arena
-	// noGrid disables the grid-level sweep scheduler (WithGridDispatch);
-	// the zero value keeps it on, so every construction path — including
-	// the legacy shims — defaults to grid dispatch.
-	noGrid bool
 	// cache, when non-nil, memoises cacheable sweep points by content
 	// address (WithResultCache).
 	cache ResultCache
@@ -78,7 +77,8 @@ func WithKeepWasteRatios(keep bool) SessionOption {
 
 // WithOnResult streams every run's Result to fn in strict run order
 // (i ascending, 0-based) on the caller's goroutine, then drops it —
-// the O(1)-memory observation hook.
+// the O(1)-memory observation hook. A Sweep calls it point by point, in
+// grid order.
 func WithOnResult(fn func(i int, r Result)) SessionOption {
 	return func(s *Session) { s.opts.OnResult = fn }
 }
@@ -122,26 +122,6 @@ func WithProgress(fn func(done, total int)) SessionOption {
 	return func(s *Session) { s.progress = fn }
 }
 
-// WithGridDispatch selects the sweep execution schedule. On (the
-// default), Session.Sweep runs as one grid-level experiment: workers draw
-// (point, replicate-chunk) work items from the whole grid and steal
-// across point boundaries, so no worker idles at a point boundary while
-// any point still has work; a reorder window delivers results to the pull
-// iterator in grid order exactly as the sequential schedule does. Off
-// evaluates the grid one point at a time with a full worker barrier
-// between points — the reference schedule grid dispatch is pinned
-// bit-identical to.
-//
-// The two schedules produce bit-identical results regardless of
-// interleaving (each replicate is a pure function of the configuration
-// seed and run index, and each point folds in strict run order), so this
-// knob is purely a wall-clock trade. A session with WithOnResult falls
-// back to the sequential schedule: that hook contracts whole-experiment
-// run order, which concurrent points would interleave.
-func WithGridDispatch(on bool) SessionOption {
-	return func(s *Session) { s.noGrid = !on }
-}
-
 // WithResultCache memoises the session's cacheable Sweep points in c:
 // before simulating a point the sweep consults the cache by the point's
 // ExperimentKey, and every computed point is stored back. A hit is
@@ -162,12 +142,6 @@ func NewSession(opts ...SessionOption) *Session {
 		o(s)
 	}
 	return s
-}
-
-// newSessionWith is the shim constructor: a throwaway Session carrying a
-// legacy (workers, MCOptions) pair verbatim.
-func newSessionWith(workers int, opts MCOptions) *Session {
-	return &Session{workers: workers, opts: opts}
 }
 
 // arenasFor returns the per-worker arena slice for an experiment of the
@@ -211,17 +185,28 @@ func (s *Session) Run(ctx context.Context, cfg Config) (Result, error) {
 // order. Cancelling ctx stops dispatch at the next replicate boundary,
 // drains the workers and returns ctx.Err().
 func (s *Session) MonteCarlo(ctx context.Context, cfg Config, runs int) (MCResult, error) {
-	return s.monteCarlo(ctx, cfg, runs, s.opts, 0, runs)
+	return s.monteCarlo(ctx, cfg, runs, s.opts, s.progressFrom(0, runs))
 }
 
-// monteCarlo runs one experiment against the session pool, offsetting the
-// progress report into a campaign of `total` replicates.
-func (s *Session) monteCarlo(ctx context.Context, cfg Config, runs int, opts MCOptions, doneBase, total int) (MCResult, error) {
-	var progress func(done int)
-	if s.progress != nil {
-		progress = func(done int) { s.progress(doneBase+done, total) }
+// monteCarlo runs one experiment as a one-point grid on the session pool.
+func (s *Session) monteCarlo(ctx context.Context, cfg Config, runs int, opts MCOptions, progress func(folded int)) (MCResult, error) {
+	var mc MCResult
+	_, err := s.runGrid(ctx, []gridPoint{{cfg: cfg, runs: runs, opts: opts}}, nil, progress,
+		func(_ int, r MCResult) bool {
+			mc = r
+			return true
+		})
+	return mc, err
+}
+
+// progressFrom adapts the session progress hook to a grid's running fold
+// count, offset by the base replicates already done within a campaign of
+// total replicates; nil when the session reports no progress.
+func (s *Session) progressFrom(base, total int) func(folded int) {
+	if s.progress == nil {
+		return nil
 	}
-	return monteCarloWith(ctx, s.arenasFor(runs), cfg, runs, opts, progress)
+	return func(folded int) { s.progress(base+folded, total) }
 }
 
 // Sweep evaluates the same Monte-Carlo experiment at every point of the
@@ -245,20 +230,25 @@ func (s *Session) monteCarlo(ctx context.Context, cfg Config, runs int, opts MCO
 //
 // The sequence is single-use: re-ranging it re-runs the experiments.
 //
-// Execution schedule: by default the whole grid runs as one experiment —
-// workers steal (point, replicate-chunk) work items across point
-// boundaries (see WithGridDispatch) — and repeated cells are served once
-// and deduplicated (see WithResultCache). Both behaviours are pinned
-// bit-identical to the sequential one-point-at-a-time schedule.
+// Execution schedule: the whole grid runs as one experiment — workers
+// steal (point, replicate-chunk) work items across point boundaries —
+// and repeated cells are served once and deduplicated (see
+// WithResultCache). With WithOnResult the scheduler dispatches one point
+// at a time, so the hook sees every run in point-major, run-ascending
+// order.
 func (s *Session) Sweep(ctx context.Context, base Config, grid SweepGrid, runs int) (iter.Seq2[SweepPoint, MCResult], func() error) {
 	var err error
 	seq := func(yield func(SweepPoint, MCResult) bool) {
 		err = nil
 		pts := grid.Points(base)
-		if s.noGrid || s.opts.OnResult != nil {
-			err = s.sweepSequential(ctx, base, pts, runs, yield)
-		} else {
-			err = s.sweepGrid(ctx, base, pts, runs, yield)
+		gps := make([]gridPoint, len(pts))
+		for i, pt := range pts {
+			gps[i] = gridPoint{cfg: pt.Apply(base), runs: runs, opts: s.opts}
+		}
+		p, e := s.runGrid(ctx, gps, newSweepMemo(s, runs), s.progressFrom(0, len(pts)*runs),
+			func(p int, mc MCResult) bool { return yield(pts[p], mc) })
+		if e != nil {
+			err = sweepPointErr(pts[p], e)
 		}
 	}
 	return seq, func() error { return err }
@@ -267,36 +257,6 @@ func (s *Session) Sweep(ctx context.Context, base Config, grid SweepGrid, runs i
 // sweepPointErr wraps a point failure exactly as Sweep reports it.
 func sweepPointErr(pt SweepPoint, err error) error {
 	return fmt.Errorf("engine: sweep point %d (%s): %w", pt.Index, pt.Strategy.Name(), err)
-}
-
-// sweepSequential is the reference schedule: one point at a time, a full
-// worker barrier between points.
-func (s *Session) sweepSequential(ctx context.Context, base Config, pts []SweepPoint, runs int, yield func(SweepPoint, MCResult) bool) error {
-	total := len(pts) * runs
-	memo := newSweepMemo(s, runs)
-	for _, pt := range pts {
-		cfg := pt.Apply(base)
-		key := memo.key(cfg)
-		mc, hit := memo.lookup(key)
-		if hit {
-			// The computing path observes cancellation on entry to the
-			// point; a memo hit must not slip past it.
-			if e := ctx.Err(); e != nil {
-				return sweepPointErr(pt, e)
-			}
-		} else {
-			var e error
-			mc, e = s.monteCarlo(ctx, cfg, runs, s.opts, pt.Index*runs, total)
-			if e != nil {
-				return sweepPointErr(pt, e)
-			}
-			memo.store(key, mc)
-		}
-		if !yield(pt, mc) {
-			return nil
-		}
-	}
-	return nil
 }
 
 // Compare runs the same Monte-Carlo experiment for every given strategy —
@@ -376,7 +336,7 @@ func (s *Session) ComparePaired(ctx context.Context, base Config, strategies []S
 	refOpts.KeepWasteRatios = true
 	refCfg := base
 	refCfg.Strategy = strategies[0]
-	refMC, err := s.monteCarlo(ctx, refCfg, runs, refOpts, 0, total)
+	refMC, err := s.monteCarlo(ctx, refCfg, runs, refOpts, s.progressFrom(0, total))
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine: paired reference (%s): %w", strategies[0].Name(), err)
 	}
@@ -405,7 +365,7 @@ func (s *Session) ComparePaired(ctx context.Context, base Config, strategies []S
 		}
 		cfg := base
 		cfg.Strategy = strat
-		mc, err := s.monteCarlo(ctx, cfg, refMC.RunsUsed, opts, (k+1)*runs, total)
+		mc, err := s.monteCarlo(ctx, cfg, refMC.RunsUsed, opts, s.progressFrom((k+1)*runs, total))
 		if err != nil {
 			return nil, nil, fmt.Errorf("engine: paired comparison (%s): %w", strat.Name(), err)
 		}
@@ -457,7 +417,7 @@ func (s *Session) MinBandwidth(ctx context.Context, cfg Config, targetEfficiency
 	meanWaste := func(bps float64) (float64, error) {
 		c := cfg
 		c.Platform.BandwidthBps = bps
-		mc, err := monteCarloWith(ctx, s.arenasFor(runs), c, runs,
+		mc, err := s.monteCarlo(ctx, c, runs,
 			MCOptions{TargetCI: s.opts.TargetCI, Antithetic: s.opts.Antithetic}, nil)
 		if err != nil {
 			return 0, err

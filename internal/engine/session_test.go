@@ -135,32 +135,29 @@ func TestSessionSweepEarlyBreak(t *testing.T) {
 }
 
 // TestSessionMonteCarloShimBitIdentity pins every registered strategy:
-// the deprecated MonteCarlo shim and a Session with the matching options
-// produce byte-identical MCResults, and a second call on the same warm
-// session (reusing the arenas) stays identical.
+// a materialising Session.MonteCarlo equals the serial reference byte for
+// byte, and a second call on the same warm session (reusing the arenas)
+// stays identical.
 func TestSessionMonteCarloShimBitIdentity(t *testing.T) {
 	ctx := context.Background()
 	for _, strat := range AllStrategies() {
 		t.Run(strat.Name(), func(t *testing.T) {
 			cfg := tinyConfig(strat, 23)
-			legacy, err := MonteCarlo(cfg, 4, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := serialMonteCarlo(t, cfg, 4, MCOptions{KeepResults: true, KeepWasteRatios: true})
 			s := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true))
 			got, err := s.MonteCarlo(ctx, cfg, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(legacy, got) {
-				t.Fatalf("Session diverged from legacy MonteCarlo:\n legacy  %+v\n session %+v", legacy, got)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("Session diverged from the serial reference:\n serial  %+v\n session %+v", want, got)
 			}
 			again, err := s.MonteCarlo(ctx, cfg, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(legacy, again) {
-				t.Fatalf("warm-session rerun diverged:\n legacy %+v\n again  %+v", legacy, again)
+			if !reflect.DeepEqual(want, again) {
+				t.Fatalf("warm-session rerun diverged:\n serial %+v\n again  %+v", want, again)
 			}
 		})
 	}
@@ -190,18 +187,14 @@ func TestSessionRunShimBitIdentity(t *testing.T) {
 	}
 }
 
-// TestSessionStreamShimBitIdentity: the deprecated MonteCarloStream shim
-// and a Session with WithOnResult deliver identical ordered streams and
-// aggregates.
+// TestSessionStreamShimBitIdentity: a Session with WithOnResult delivers
+// the serial reference's ordered stream and aggregates.
 func TestSessionStreamShimBitIdentity(t *testing.T) {
 	cfg := tinyConfig(LeastWaste(), 77)
-	var legacyStream []float64
-	legacy, err := MonteCarloStream(cfg, 8, 3, func(i int, r Result) {
-		legacyStream = append(legacyStream, r.WasteRatio)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var serialStream []float64
+	want := serialMonteCarlo(t, cfg, 8, MCOptions{OnResult: func(i int, r Result) {
+		serialStream = append(serialStream, r.WasteRatio)
+	}})
 	var sessionStream []float64
 	s := NewSession(WithWorkers(3), WithOnResult(func(i int, r Result) {
 		sessionStream = append(sessionStream, r.WasteRatio)
@@ -210,17 +203,17 @@ func TestSessionStreamShimBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(legacyStream, sessionStream) {
-		t.Fatalf("streams diverged:\n legacy  %v\n session %v", legacyStream, sessionStream)
+	if !reflect.DeepEqual(serialStream, sessionStream) {
+		t.Fatalf("streams diverged:\n serial  %v\n session %v", serialStream, sessionStream)
 	}
-	if !reflect.DeepEqual(legacy, got) {
-		t.Fatalf("aggregates diverged:\n legacy  %+v\n session %+v", legacy, got)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("aggregates diverged:\n serial  %+v\n session %+v", want, got)
 	}
 }
 
-// TestSessionSweepShimBitIdentity: the deprecated callback Sweep and the
-// Session pull iterator walk the same grid — every registered strategy
-// times a bandwidth axis — with byte-identical points and results.
+// TestSessionSweepShimBitIdentity: the Session pull iterator walks the
+// grid — every registered strategy times a bandwidth axis — in
+// enumeration order with results byte-identical to the serial reference.
 func TestSessionSweepShimBitIdentity(t *testing.T) {
 	base := tinyConfig(OrderedDaly(), 41)
 	grid := SweepGrid{
@@ -228,57 +221,36 @@ func TestSessionSweepShimBitIdentity(t *testing.T) {
 		Strategies:    AllStrategies(),
 	}
 	const runs = 2
-	opts := MCOptions{KeepWasteRatios: true}
-
-	var legacyPts []SweepPoint
-	var legacyMCs []MCResult
-	if err := Sweep(base, grid, runs, 2, opts, func(pt SweepPoint, mc MCResult) {
-		legacyPts = append(legacyPts, pt)
-		legacyMCs = append(legacyMCs, mc)
-	}); err != nil {
-		t.Fatal(err)
+	want := serialSweep(t, base, grid, runs, MCOptions{KeepWasteRatios: true})
+	gotPts, gotMCs := collectSweep(t, NewSession(WithWorkers(2), WithKeepWasteRatios(true)), base, grid, runs)
+	if !reflect.DeepEqual(grid.Points(base), gotPts) {
+		t.Fatalf("sweep points diverged from the grid enumeration:\n got %+v", gotPts)
 	}
-
-	s := NewSession(WithWorkers(2), WithKeepWasteRatios(true))
-	var gotPts []SweepPoint
-	var gotMCs []MCResult
-	points, errf := s.Sweep(context.Background(), base, grid, runs)
-	for pt, mc := range points {
-		gotPts = append(gotPts, pt)
-		gotMCs = append(gotMCs, mc)
-	}
-	if err := errf(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacyPts, gotPts) {
-		t.Fatalf("sweep points diverged:\n legacy  %+v\n session %+v", legacyPts, gotPts)
-	}
-	if !reflect.DeepEqual(legacyMCs, gotMCs) {
-		t.Fatal("sweep results diverged from the legacy callback driver")
+	if !reflect.DeepEqual(want, gotMCs) {
+		t.Fatal("sweep results diverged from the serial reference")
 	}
 }
 
-// TestSessionCompareShimBitIdentity: the deprecated CompareStrategies
-// shim equals Session.Compare across every registered strategy.
+// TestSessionCompareShimBitIdentity: Session.Compare equals the serial
+// reference across every registered strategy.
 func TestSessionCompareShimBitIdentity(t *testing.T) {
 	base := tinyConfig(Strategy{}, 53)
 	strategies := AllStrategies()
-	legacy, err := CompareStrategies(base, strategies, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	keep := MCOptions{KeepResults: true, KeepWasteRatios: true}
+	want := serialSweep(t, base, SweepGrid{Strategies: strategies}, 2, keep)
 	s := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true))
 	got, err := s.Compare(context.Background(), base, strategies, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(legacy, got) {
-		t.Fatal("Session.Compare diverged from legacy CompareStrategies")
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("Session.Compare diverged from the serial reference")
 	}
 }
 
-// TestSessionMinBandwidthShimBitIdentity: the deprecated bisection shim
-// and Session.MinBandwidth land on the same bandwidth, probe for probe.
+// TestSessionMinBandwidthShimBitIdentity: Session.MinBandwidth lands on
+// the same bandwidth as a serial bisection over the serial reference,
+// probe for probe.
 func TestSessionMinBandwidthShimBitIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bisection search in -short mode")
@@ -292,17 +264,28 @@ func TestSessionMinBandwidthShimBitIdentity(t *testing.T) {
 		runs   = 2
 		steps  = 5
 	)
-	legacy, err := MinBandwidthForEfficiency(cfg, target, lo, hi, runs, 2, steps)
+	meets := func(bps float64) bool {
+		c := cfg
+		c.Platform.BandwidthBps = bps
+		return serialMonteCarlo(t, c, runs, MCOptions{}).Summary.Mean <= 1-target
+	}
+	if !meets(hi) || meets(lo) {
+		t.Fatal("bracket does not straddle the target")
+	}
+	a, b := lo, hi
+	for i := 0; i < steps; i++ {
+		if mid := (a + b) / 2; meets(mid) {
+			b = mid
+		} else {
+			a = mid
+		}
+	}
+	got, err := NewSession(WithWorkers(2)).MinBandwidth(context.Background(), cfg, target, lo, hi, runs, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSession(WithWorkers(2))
-	got, err := s.MinBandwidth(context.Background(), cfg, target, lo, hi, runs, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy != got {
-		t.Fatalf("Session.MinBandwidth = %v, legacy = %v (must be bit-identical)", got, legacy)
+	if got != b {
+		t.Fatalf("Session.MinBandwidth = %v, serial bisection = %v (must be bit-identical)", got, b)
 	}
 }
 
@@ -327,7 +310,7 @@ func TestSessionCampaignArenaReuse(t *testing.T) {
 		t.Fatal("campaign stage 1 (Run) diverged from fresh evaluation")
 	}
 
-	wantMC, err := MonteCarloOpts(cfgA, 3, 2, MCOptions{KeepWasteRatios: true})
+	wantMC, err := sessionMC(cfgA, 3, WithWorkers(2), WithKeepWasteRatios(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +326,7 @@ func TestSessionCampaignArenaReuse(t *testing.T) {
 	points, errf := s.Sweep(ctx, cfgB, grid, 2)
 	for pt, mc := range points {
 		cfg := pt.Apply(cfgB)
-		want, err := MonteCarloOpts(cfg, 2, 2, MCOptions{KeepWasteRatios: true})
+		want, err := sessionMC(cfg, 2, WithWorkers(2), WithKeepWasteRatios(true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,6 +401,9 @@ func TestSessionInvalidConfigRejectedUpfront(t *testing.T) {
 	if strings.Contains(err.Error(), "worker ") {
 		t.Fatalf("validation error %q reached a worker", err)
 	}
+	if strings.Contains(err.Error(), "sweep point") {
+		t.Fatalf("single-experiment error %q carries a sweep-point prefix", err)
+	}
 	for _, want := range []string{"node count", "node MTBF", "channel count", "scheduler"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("joined validation error %q misses the %s field", err, want)
@@ -434,8 +420,8 @@ func TestSessionRunsValidation(t *testing.T) {
 	if _, err := s.MonteCarlo(ctx, cfg, 0); err == nil {
 		t.Fatal("Session.MonteCarlo accepted zero runs")
 	}
-	if _, err := MonteCarloOpts(cfg, -3, 1, MCOptions{}); err == nil {
-		t.Fatal("MonteCarloOpts accepted negative runs")
+	if _, err := sessionMC(cfg, -3, WithWorkers(1)); err == nil {
+		t.Fatal("Session.MonteCarlo accepted negative runs")
 	}
 	points, errf := s.Sweep(ctx, cfg, SweepGrid{}, 0)
 	for range points {

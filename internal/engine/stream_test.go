@@ -27,20 +27,20 @@ func TestMonteCarloStreamMatchesBatch(t *testing.T) {
 	const runs = 12
 	cfg := streamCfg()
 
-	batch, err := MonteCarlo(cfg, runs, 3)
+	batch, err := sessionMC(cfg, runs, WithWorkers(3), WithKeepResults(true), WithKeepWasteRatios(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var streamed []float64
 	wantIdx := 0
-	mc, err := MonteCarloStream(cfg, runs, 3, func(i int, r Result) {
+	mc, err := sessionMC(cfg, runs, WithWorkers(3), WithOnResult(func(i int, r Result) {
 		if i != wantIdx {
 			t.Fatalf("OnResult index %d, want %d (strict run order)", i, wantIdx)
 		}
 		wantIdx++
 		streamed = append(streamed, r.WasteRatio)
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestMonteCarloOptsKeepWasteRatios(t *testing.T) {
 	cfg := streamCfg()
 	cfg.Strategy = OrderedNBDaly()
 
-	batch, err := MonteCarlo(cfg, runs, 4)
+	batch, err := sessionMC(cfg, runs, WithWorkers(4), WithKeepResults(true), WithKeepWasteRatios(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lean, err := MonteCarloOpts(cfg, runs, 4, MCOptions{KeepWasteRatios: true})
+	lean, err := sessionMC(cfg, runs, WithWorkers(4), WithKeepWasteRatios(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +115,14 @@ func TestMonteCarloStreamLargeReplication(t *testing.T) {
 	// Batch-path reference statistics without batch-path memory: the
 	// exact sorted Summary needs only the waste ratios (8 B/run here in
 	// the test), never the Result structs.
-	exact, err := MonteCarloOpts(cfg, runs, 0, MCOptions{KeepWasteRatios: true})
+	exact, err := sessionMC(cfg, runs, WithKeepWasteRatios(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	collected := make([]float64, 0, runs)
-	stream, err := MonteCarloStream(cfg, runs, 0, func(i int, r Result) {
+	stream, err := sessionMC(cfg, runs, WithOnResult(func(i int, r Result) {
 		collected = append(collected, r.WasteRatio)
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestMonteCarloStreamLargeReplication(t *testing.T) {
 func TestMonteCarloStreamErrorPropagation(t *testing.T) {
 	cfg := streamCfg()
 	cfg.Platform.Nodes = 0 // invalid: every run fails
-	if _, err := MonteCarloStream(cfg, 4, 2, nil); err == nil {
+	if _, err := sessionMC(cfg, 4, WithWorkers(2)); err == nil {
 		t.Fatal("streaming Monte-Carlo swallowed the run error")
 	}
 }

@@ -47,10 +47,20 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, api.Error{Error: err.Error()})
 }
 
+// MaxSpecBytes bounds the body of one campaign submission. A spec is a
+// few kilobytes of JSON; the bound keeps a single request from costing
+// the daemon unbounded memory.
+const MaxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := api.DecodeCampaignSpec(r.Body)
+	spec, err := api.DecodeCampaignSpec(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, err)
 		return
 	}
 	id, err := s.Submit(spec)

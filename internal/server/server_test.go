@@ -348,6 +348,29 @@ func TestBadSpecAllErrors(t *testing.T) {
 	}
 }
 
+// TestOversizedSpecRejected: a submission body beyond MaxSpecBytes is
+// refused with 413 and a JSON error before any campaign is admitted.
+func TestOversizedSpecRejected(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	before := s.List()
+	body := `{"name":"` + strings.Repeat("x", MaxSpecBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: status %d, want 413", resp.StatusCode)
+	}
+	var e api.Error
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+		t.Fatalf("413 body is not a JSON error (decode err %v, body %+v)", err, e)
+	}
+	if after := s.List(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("campaign list changed from %+v to %+v", before, after)
+	}
+}
+
 // TestNotFound pins 404s on the three id-addressed endpoints.
 func TestNotFound(t *testing.T) {
 	_, ts := newTestServer(t, Options{})

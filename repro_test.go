@@ -174,8 +174,8 @@ func TestPublicAPEXClasses(t *testing.T) {
 
 // TestPublicSession drives a whole campaign through one facade Session:
 // single run, Monte-Carlo, sweep iterator and paired comparison share the
-// warm arena pool, match the deprecated entry points bit for bit, and a
-// cancelled context aborts with ctx.Err().
+// warm arena pool, Session.Run matches the package-level Run bit for bit,
+// and a cancelled context aborts with ctx.Err().
 func TestPublicSession(t *testing.T) {
 	ctx := context.Background()
 	cfg := testConfig(repro.LeastWaste())
@@ -194,19 +194,16 @@ func TestPublicSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res, legacyRes) {
-		t.Fatal("Session.Run diverged from the deprecated Run")
+		t.Fatal("Session.Run diverged from the package-level Run")
 	}
 
 	mc, err := session.MonteCarlo(ctx, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyMC, err := repro.MonteCarlo(cfg, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(mc, legacyMC) {
-		t.Fatal("Session.MonteCarlo diverged from the deprecated MonteCarlo")
+	if mc.Summary.N != 4 || len(mc.Results) != 4 || len(mc.WasteRatios) != 4 {
+		t.Fatalf("MonteCarlo materialised %d results, %d ratios over N=%d; want 4 each",
+			len(mc.Results), len(mc.WasteRatios), mc.Summary.N)
 	}
 
 	grid := repro.SweepGrid{Strategies: []repro.Strategy{repro.ObliviousFixed(), repro.LeastWaste()}}
@@ -244,20 +241,22 @@ func TestPublicSession(t *testing.T) {
 }
 
 func TestPublicMonteCarloAndCompare(t *testing.T) {
+	ctx := context.Background()
 	cfg := testConfig(repro.OrderedNBDaly())
-	mc, err := repro.MonteCarlo(cfg, 4, 2)
+	session := repro.NewSession(repro.WithWorkers(2))
+	mc, err := session.MonteCarlo(ctx, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mc.Summary.N != 4 {
 		t.Fatalf("summary N = %d", mc.Summary.N)
 	}
-	out, err := repro.CompareStrategies(cfg, []repro.Strategy{repro.ObliviousFixed(), repro.LeastWaste()}, 2, 2)
+	out, err := session.Compare(ctx, cfg, []repro.Strategy{repro.ObliviousFixed(), repro.LeastWaste()}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 2 {
-		t.Fatalf("CompareStrategies returned %d results", len(out))
+		t.Fatalf("Compare returned %d results", len(out))
 	}
 }
 
@@ -294,7 +293,7 @@ func TestPublicMinBandwidthSearches(t *testing.T) {
 	cfg := testConfig(repro.OrderedNBDaly())
 	cfg.HorizonDays = 4
 	cfg.Gen.MinDays = 4
-	bw, err := repro.MinBandwidthForEfficiency(cfg, 0.6, 0.05e9, 50e9, 2, 2, 6)
+	bw, err := repro.NewSession(repro.WithWorkers(2)).MinBandwidth(context.Background(), cfg, 0.6, 0.05e9, 50e9, 2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
