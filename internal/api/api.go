@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"repro/internal/burstbuffer"
@@ -25,7 +24,6 @@ import (
 	"repro/internal/failure"
 	"repro/internal/iomodel"
 	"repro/internal/platform"
-	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -584,60 +582,21 @@ func FromGrid(g engine.SweepGrid) (SweepGrid, error) {
 	return out, errors.Join(errs...)
 }
 
-// MCResult is the wire image of a streamed engine.MCResult: the scalar
-// aggregates and the candlestick summary. The per-run materialisations
-// (WasteRatios, Results) never cross the wire — the service always runs
-// the O(1)-memory streaming path, which leaves them nil. CIHalfWidth is
-// +Inf below two estimator observations, which JSON cannot carry; the
-// CIHalfWidthInf flag round-trips it exactly.
-type MCResult struct {
-	Strategy        string        `json:"strategy"`
-	Summary         stats.Summary `json:"summary"`
-	MeanUtilization float64       `json:"mean_utilization"`
-	MeanFailures    float64       `json:"mean_failures"`
-	RunsUsed        int           `json:"runs_used"`
-	CIHalfWidth     float64       `json:"ci_half_width"`
-	CIHalfWidthInf  bool          `json:"ci_half_width_inf,omitempty"`
-	Confidence      float64       `json:"confidence"`
-	Cached          bool          `json:"cached,omitempty"`
-}
+// MCResult is the wire image of a streamed engine.MCResult, in the
+// engine's one JSON form (see engine.MCResult.MarshalJSON): the scalar
+// aggregates and the candlestick summary, with the +Inf half-width below
+// two estimator observations carried by ci_half_width_inf. The per-run
+// materialisations (WasteRatios, Results) never cross the wire.
+type MCResult struct{ engine.MCResult }
 
 // FromMCResult encodes the streamable fields of an engine result.
 func FromMCResult(mc engine.MCResult) MCResult {
-	out := MCResult{
-		Strategy:        mc.Strategy,
-		Summary:         mc.Summary,
-		MeanUtilization: mc.MeanUtilization,
-		MeanFailures:    mc.MeanFailures,
-		RunsUsed:        mc.RunsUsed,
-		CIHalfWidth:     mc.CIHalfWidth,
-		Confidence:      mc.Confidence,
-		Cached:          mc.Cached,
-	}
-	if math.IsInf(mc.CIHalfWidth, 1) {
-		out.CIHalfWidth = 0
-		out.CIHalfWidthInf = true
-	}
-	return out
+	mc.WasteRatios, mc.Results = nil, nil
+	return MCResult{mc}
 }
 
 // Engine lowers the wire result back onto engine.MCResult.
-func (m MCResult) Engine() engine.MCResult {
-	out := engine.MCResult{
-		Strategy:        m.Strategy,
-		Summary:         m.Summary,
-		MeanUtilization: m.MeanUtilization,
-		MeanFailures:    m.MeanFailures,
-		RunsUsed:        m.RunsUsed,
-		CIHalfWidth:     m.CIHalfWidth,
-		Confidence:      m.Confidence,
-		Cached:          m.Cached,
-	}
-	if m.CIHalfWidthInf {
-		out.CIHalfWidth = math.Inf(1)
-	}
-	return out
-}
+func (m MCResult) Engine() engine.MCResult { return m.MCResult }
 
 // PointResult is one grid point's outcome on the wire, in grid order —
 // the payload of the campaign result stream.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/failure"
 	"repro/internal/platform"
+	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -187,6 +188,53 @@ func TestMCResultInfRoundTrip(t *testing.T) {
 	out := back.Engine()
 	if !math.IsInf(out.CIHalfWidth, 1) {
 		t.Fatalf("CIHalfWidth came back as %v, want +Inf", out.CIHalfWidth)
+	}
+}
+
+// TestStreamFrameBytesPinned pins the encoded bytes of one finite and
+// one +Inf result frame. The literals are the wire layout clients already
+// parse; MCResult's JSON form is shared with the journal and the cache,
+// and a change there must not move a byte of the stream.
+func TestStreamFrameBytesPinned(t *testing.T) {
+	finite := engine.MCResult{
+		Strategy: "Least-Waste", RunsUsed: 4, CIHalfWidth: 0.0625, Confidence: 0.95,
+		MeanUtilization: 0.875, MeanFailures: 3.5, Cached: true,
+		Summary: stats.Summary{N: 4, Mean: 0.25, Min: 0.125, Max: 0.5,
+			P10: 0.125, P25: 0.1875, P50: 0.25, P75: 0.3125, P90: 0.5, StdDev: 0.1},
+		// Per-run materialisations never cross the wire.
+		WasteRatios: []float64{0.1},
+	}
+	inf := engine.MCResult{
+		Strategy: "Ordered-Daly", RunsUsed: 1, CIHalfWidth: math.Inf(1), Confidence: 0.95,
+		MeanUtilization: 0.5, MeanFailures: 1,
+		Summary: stats.Summary{N: 1, Mean: 0.3, Min: 0.3, Max: 0.3,
+			P10: 0.3, P25: 0.3, P50: 0.3, P75: 0.3, P90: 0.3},
+	}
+	for _, tc := range []struct {
+		mc   engine.MCResult
+		want string
+	}{
+		{finite, `{"point":{"index":3,"bandwidth_bps":40000000000,"node_mtbf_seconds":31500000,"failure_model":"exponential","channels":1,"strategy":"Least-Waste","status":"done","attempts":1,"mc":{"strategy":"Least-Waste","summary":{"N":4,"Mean":0.25,"Min":0.125,"Max":0.5,"P10":0.125,"P25":0.1875,"P50":0.25,"P75":0.3125,"P90":0.5,"StdDev":0.1},"mean_utilization":0.875,"mean_failures":3.5,"runs_used":4,"ci_half_width":0.0625,"confidence":0.95,"cached":true}}}` + "\n"},
+		{inf, `{"point":{"index":3,"bandwidth_bps":40000000000,"node_mtbf_seconds":31500000,"failure_model":"exponential","channels":1,"strategy":"Ordered-Daly","status":"done","attempts":1,"mc":{"strategy":"Ordered-Daly","summary":{"N":1,"Mean":0.3,"Min":0.3,"Max":0.3,"P10":0.3,"P25":0.3,"P50":0.3,"P75":0.3,"P90":0.3,"StdDev":0},"mean_utilization":0.5,"mean_failures":1,"runs_used":1,"ci_half_width":0,"ci_half_width_inf":true,"confidence":0.95}}}` + "\n"},
+	} {
+		m := FromMCResult(tc.mc)
+		got, err := EncodeJSON(StreamFrame{Point: &PointResult{
+			Index: 3, BandwidthBps: 4e10, NodeMTBFSeconds: 3.15e7, FailureModel: "exponential",
+			Channels: 1, Strategy: tc.mc.Strategy, Status: "done", Attempts: 1, MC: &m,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s frame bytes moved:\n got %s\nwant %s", tc.mc.Strategy, got, tc.want)
+		}
+		var back StreamFrame
+		if err := json.Unmarshal(got, &back); err != nil {
+			t.Fatal(err)
+		}
+		if out := back.Point.MC.Engine(); out.CIHalfWidth != tc.mc.CIHalfWidth || out.Summary != tc.mc.Summary || out.WasteRatios != nil {
+			t.Errorf("%s frame did not decode back: %+v", tc.mc.Strategy, out)
+		}
 	}
 }
 

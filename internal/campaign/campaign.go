@@ -2,9 +2,6 @@ package campaign
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -267,96 +264,6 @@ func New(opts Options) *Campaign {
 	return c
 }
 
-// fingerprintSpec is the canonical identity of a campaign: everything
-// that influences its results, reduced to plain data. Two campaigns with
-// equal fingerprints produce bit-identical journals.
-type fingerprintSpec struct {
-	PlatformName    string   `json:"platform"`
-	Nodes           int      `json:"nodes"`
-	MemoryBytes     float64  `json:"memory_bytes"`
-	BandwidthBps    float64  `json:"bandwidth_bps"`
-	NodeMTBFSeconds float64  `json:"node_mtbf_seconds"`
-	Classes         []string `json:"classes"`
-	Seed            uint64   `json:"seed"`
-	Scheduler       string   `json:"scheduler"`
-	Horizon         float64  `json:"horizon_days"`
-	Warmup          float64  `json:"warmup_days"`
-	Cooldown        float64  `json:"cooldown_days"`
-	Gen             any      `json:"gen"`
-	Interference    string   `json:"interference"`
-	Channels        int      `json:"channels"`
-	FailureModel    int      `json:"failure_model"`
-	WeibullShape    float64  `json:"weibull_shape"`
-	BurstBuffer     any      `json:"burst_buffer,omitempty"`
-	Disable         [3]bool  `json:"disable"`
-	PairedBaseline  bool     `json:"paired_baseline"`
-	Antithetic      bool     `json:"antithetic"`
-	TargetCI        any      `json:"target_ci"`
-	Runs            int      `json:"runs"`
-
-	GridBandwidths []float64    `json:"grid_bandwidths"`
-	GridMTBFs      []float64    `json:"grid_mtbfs"`
-	GridFailures   [][2]float64 `json:"grid_failures"`
-	GridChannels   []int        `json:"grid_channels"`
-	GridStrategies []string     `json:"grid_strategies"`
-}
-
-// fingerprint hashes the campaign's canonical spec. Interfaces and
-// function fields of Config are identified by name (strategies) or
-// dynamic type (interference models) — the precision a journal header
-// can have without serializing code.
-func (c *Campaign) fingerprint(base engine.Config, grid engine.SweepGrid, runs int) string {
-	classes := make([]string, len(base.Classes))
-	for i, cl := range base.Classes {
-		classes[i] = fmt.Sprintf("%v", cl)
-	}
-	spec := fingerprintSpec{
-		PlatformName:    base.Platform.Name,
-		Nodes:           base.Platform.Nodes,
-		MemoryBytes:     base.Platform.MemoryBytes,
-		BandwidthBps:    base.Platform.BandwidthBps,
-		NodeMTBFSeconds: base.Platform.NodeMTBFSeconds,
-		Classes:         classes,
-		Seed:            base.Seed,
-		Scheduler:       base.Scheduler,
-		Horizon:         base.HorizonDays,
-		Warmup:          base.WarmupDays,
-		Cooldown:        base.CooldownDays,
-		Gen:             base.Gen,
-		Interference:    fmt.Sprintf("%T", base.Interference),
-		Channels:        base.Channels,
-		FailureModel:    int(base.FailureModel),
-		WeibullShape:    base.WeibullShape,
-		Disable:         [3]bool{base.DisableFailures, base.DisableCheckpoints, base.BaselineIO},
-		PairedBaseline:  base.PairedBaseline,
-		Antithetic:      c.opts.Antithetic,
-		TargetCI:        c.opts.TargetCI,
-		Runs:            runs,
-		GridBandwidths:  grid.BandwidthsBps,
-		GridMTBFs:       grid.NodeMTBFSeconds,
-		GridChannels:    grid.Channels,
-	}
-	if base.BurstBuffer != nil {
-		spec.BurstBuffer = *base.BurstBuffer
-	}
-	if base.Strategy.Name() != "" {
-		spec.GridStrategies = append(spec.GridStrategies, "base:"+base.Strategy.Name())
-	}
-	for _, fs := range grid.FailureSpecs {
-		spec.GridFailures = append(spec.GridFailures, [2]float64{float64(fs.Model), fs.WeibullShape})
-	}
-	for _, s := range grid.Strategies {
-		spec.GridStrategies = append(spec.GridStrategies, s.Name())
-	}
-	blob, err := json.Marshal(spec)
-	if err != nil {
-		// Every field is plain data; Marshal cannot fail on it.
-		panic(err)
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])
-}
-
 // openOrCreate sets up the journal per Options, returning the replayed
 // state when resuming (nil otherwise).
 func (c *Campaign) openOrCreate(fp string, points, runs int, seed uint64) (*Journal, *ReplayState, error) {
@@ -425,7 +332,19 @@ func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid engine
 		return err
 	}
 	pts := grid.Points(base)
-	fp := c.fingerprint(base, grid, runs)
+	cfgs := make([]engine.Config, len(pts))
+	for i, pt := range pts {
+		cfgs[i] = pt.Apply(base)
+	}
+	// The journal's fingerprint is the identity of the ordered point
+	// experiments; the same pass yields each point's cache key ("" when
+	// uncacheable).
+	fp, keys, err := engine.ExperimentKeys(cfgs, runs, engine.MCOptions{
+		TargetCI: c.opts.TargetCI, Antithetic: c.opts.Antithetic,
+	})
+	if err != nil {
+		return err
+	}
 	j, replayed, err := c.openOrCreate(fp, len(pts), runs, base.Seed)
 	if err != nil {
 		return err
@@ -451,7 +370,7 @@ func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid engine
 	// the journal so a resumed campaign remembers a tripping streak.
 	breaker := map[string]int{}
 
-	for _, pt := range pts {
+	for i, pt := range pts {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -460,16 +379,7 @@ func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid engine
 		if replayed != nil {
 			st = replayed.Points[pt.Index]
 		}
-		// cacheKey is the point's content address when the result cache is
-		// on and the point is cacheable ("" otherwise).
-		cacheKey := ""
-		if c.opts.Cache != nil {
-			if key, ok := engine.ExperimentKey(pt.Apply(base), runs, engine.MCOptions{
-				TargetCI: c.opts.TargetCI, Antithetic: c.opts.Antithetic,
-			}); ok {
-				cacheKey = key
-			}
-		}
+		cacheKey := keys[i]
 
 		// Completed in a previous run: replay, no simulation.
 		if st != nil && st.Done != nil {
@@ -494,13 +404,13 @@ func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid engine
 		// completes without simulating. The hit is journaled (cache_hit,
 		// then the aggregates as a normal point_done) so a resume replays
 		// it without needing the cache present.
-		if cacheKey != "" {
+		if c.opts.Cache != nil && cacheKey != "" {
 			if mc, hit := c.opts.Cache.Get(cacheKey); hit {
 				mc.Cached = true
 				if err := j.append(recCacheHit, cacheHitRecord{Point: pt.Index, Key: cacheKey}, false); err != nil {
 					return err
 				}
-				if err := j.append(recPointDone, doneRecord{Point: pt.Index, MC: toRecord(mc)}, true); err != nil {
+				if err := j.append(recPointDone, doneRecord{Point: pt.Index, MC: mc}, true); err != nil {
 					return err
 				}
 				c.progressBase += mc.RunsUsed
@@ -656,7 +566,7 @@ func (c *Campaign) runPoint(ctx context.Context, base engine.Config, pt engine.S
 			return PointResult{}, jerr
 		}
 		if err == nil {
-			if aerr := j.append(recPointDone, doneRecord{Point: pt.Index, MC: toRecord(mc)}, true); aerr != nil {
+			if aerr := j.append(recPointDone, doneRecord{Point: pt.Index, MC: mc}, true); aerr != nil {
 				return PointResult{}, aerr
 			}
 			return PointResult{

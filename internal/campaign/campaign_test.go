@@ -52,7 +52,7 @@ func tinyConfig(strat engine.Strategy, seed uint64) engine.Config {
 	}
 }
 
-func mustStrategy(t *testing.T, name string) engine.Strategy {
+func mustStrategy(t testing.TB, name string) engine.Strategy {
 	t.Helper()
 	s, ok := engine.StrategyByName(name)
 	if !ok {

@@ -29,13 +29,13 @@ type ResultCache interface {
 	Put(key string, mc MCResult)
 }
 
-// experimentSpec is the canonical plain-data image of one cacheable
-// Monte-Carlo experiment: the resolved configuration (defaults applied,
-// the scheduler knob resolved past "auto", the token-channel count
-// normalised to 1 for shared-device disciplines that ignore it) plus the
-// replication spec. Equal specs produce bit-identical MCResults, because
-// every replicate is a pure function of (Seed, run index) under the CRN
-// schedule and the fold is deterministic in run order.
+// experimentSpec is the canonical plain-data image of one Monte-Carlo
+// experiment: the resolved configuration (defaults applied, the scheduler
+// knob resolved past "auto", the token-channel count normalised to 1 for
+// shared-device disciplines that ignore it) plus the replication spec.
+// Equal specs produce bit-identical MCResults, because every replicate is
+// a pure function of (Seed, run index) under the CRN schedule and the
+// fold is deterministic in run order.
 type experimentSpec struct {
 	Platform     platform.Platform
 	Classes      []workload.Class
@@ -73,25 +73,14 @@ type experimentSpec struct {
 	KeepWasteRatios bool
 }
 
-// ExperimentKey returns the content-address of the Monte-Carlo experiment
-// (cfg, runs, opts) — the sha256 of its canonical spec, in hex — and
-// whether the experiment is cacheable at all. Experiments with per-run
-// observers (OnResult, Trace) or a transformed CI estimand are not
-// cacheable: a memo hit would skip the simulation their hooks observe.
-//
-// Strategies are identified by Name(); user-registered strategies must
-// use distinct names for distinct behaviours, as the registry already
-// requires.
-func ExperimentKey(cfg Config, runs int, opts MCOptions) (string, bool) {
-	if runs <= 0 || cfg.Trace != nil ||
-		opts.OnResult != nil || opts.ciValue != nil ||
-		opts.resume != nil || opts.onSnapshot != nil {
-		return "", false
-	}
+// newExperimentSpec resolves (cfg, runs, opts) to its canonical spec —
+// the one place an experimentSpec is built. Observer hooks (Config.Trace,
+// the MCOptions callbacks) are not part of an experiment's identity.
+func newExperimentSpec(cfg Config, runs int, opts MCOptions) (experimentSpec, error) {
 	c := cfg.withDefaults()
 	kind, err := c.schedulerKind()
 	if err != nil {
-		return "", false
+		return experimentSpec{}, err
 	}
 	seq := opts.TargetCI.withDefaults()
 	total := runs
@@ -131,12 +120,53 @@ func ExperimentKey(cfg Config, runs int, opts MCOptions) (string, bool) {
 	if !c.Strategy.Discipline.UsesToken() {
 		spec.Channels = 1
 	}
-	b, err := json.Marshal(spec)
-	if err != nil {
+	return spec, nil
+}
+
+// ExperimentKey returns the content-address of the Monte-Carlo experiment
+// (cfg, runs, opts) — the sha256 of its canonical spec, in hex — and
+// whether the experiment is cacheable at all. Experiments with per-run
+// observers (OnResult, Trace) or a transformed CI estimand are not
+// cacheable: a memo hit would skip the simulation their hooks observe.
+//
+// Strategies are identified by Name(); user-registered strategies must
+// use distinct names for distinct behaviours, as the registry already
+// requires.
+func ExperimentKey(cfg Config, runs int, opts MCOptions) (string, bool) {
+	_, keys, err := ExperimentKeys([]Config{cfg}, runs, opts)
+	if err != nil || keys[0] == "" {
 		return "", false
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), true
+	return keys[0], true
+}
+
+// ExperimentKeys identifies a sequence of experiments (cfgs[i], runs,
+// opts) — a campaign's grid points in order — in one pass. id is the
+// sha256 of the ordered per-point spec digests, so two sequences share it
+// exactly when every point is the same experiment at the same position;
+// observer hooks such as Config.Trace do not enter it. keys[i] is point
+// i's ExperimentKey, or "" when the point is not cacheable.
+func ExperimentKeys(cfgs []Config, runs int, opts MCOptions) (id string, keys []string, err error) {
+	uncacheable := runs <= 0 || opts.OnResult != nil || opts.ciValue != nil ||
+		opts.resume != nil || opts.onSnapshot != nil
+	h := sha256.New()
+	keys = make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		spec, err := newExperimentSpec(cfg, runs, opts)
+		if err != nil {
+			return "", nil, err
+		}
+		b, err := json.Marshal(spec)
+		if err != nil {
+			return "", nil, err
+		}
+		sum := sha256.Sum256(b)
+		h.Write(sum[:])
+		if !uncacheable && cfg.Trace == nil {
+			keys[i] = hex.EncodeToString(sum[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), keys, nil
 }
 
 // cloneMCResult deep-copies the slice-valued fields so a memoised result
@@ -147,15 +177,14 @@ func cloneMCResult(mc MCResult) MCResult {
 	return mc
 }
 
-// sweepMemo is the per-sweep memo the grid scheduler consults: an in-grid
-// tier (repeated cells within one grid — the k-axis × shared-device case)
-// backed by the session's ResultCache, when one is installed. A nil memo
-// disables memoisation (per-run observers must see every simulation).
+// sweepMemo is the per-sweep view of the session's ResultCache the grid
+// scheduler consults; repeated cells within one grid are deduplicated by
+// the grid itself before the cache is asked. A nil memo disables
+// memoisation (per-run observers must see every simulation).
 type sweepMemo struct {
 	runs  int
 	opts  MCOptions
 	cache ResultCache
-	seen  map[string]MCResult
 }
 
 // newSweepMemo builds the memo for one sweep, or nil when the session's
@@ -164,7 +193,7 @@ func newSweepMemo(s *Session, runs int) *sweepMemo {
 	if s.opts.OnResult != nil {
 		return nil
 	}
-	return &sweepMemo{runs: runs, opts: s.opts, cache: s.cache, seen: map[string]MCResult{}}
+	return &sweepMemo{runs: runs, opts: s.opts, cache: s.cache}
 }
 
 // key returns the point's content-address, or "" when uncacheable.
@@ -179,34 +208,20 @@ func (m *sweepMemo) key(cfg Config) string {
 	return k
 }
 
-// lookup returns the memoised result for the key, marked Cached, checking
-// the in-grid tier before the session cache.
+// lookup returns the cached result for the key, marked Cached.
 func (m *sweepMemo) lookup(key string) (MCResult, bool) {
-	if m == nil || key == "" {
+	if m == nil || key == "" || m.cache == nil {
 		return MCResult{}, false
 	}
-	if mc, ok := m.seen[key]; ok {
-		mc = cloneMCResult(mc)
-		mc.Cached = true
-		return mc, true
-	}
-	if m.cache != nil {
-		if mc, ok := m.cache.Get(key); ok {
-			m.seen[key] = cloneMCResult(mc)
-			mc.Cached = true
-			return mc, true
-		}
-	}
-	return MCResult{}, false
+	mc, ok := m.cache.Get(key)
+	mc.Cached = ok
+	return mc, ok
 }
 
-// store memoises a freshly computed point in both tiers.
+// store hands a freshly computed point to the cache, which clones it.
 func (m *sweepMemo) store(key string, mc MCResult) {
-	if m == nil || key == "" {
+	if m == nil || key == "" || m.cache == nil {
 		return
 	}
-	m.seen[key] = cloneMCResult(mc)
-	if m.cache != nil {
-		m.cache.Put(key, cloneMCResult(mc))
-	}
+	m.cache.Put(key, mc)
 }

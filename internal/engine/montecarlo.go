@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 
@@ -49,6 +51,78 @@ type MCResult struct {
 	// being simulated. The values are bit-identical to a fresh
 	// simulation either way; the flag only records provenance.
 	Cached bool
+}
+
+// mcResultJSON is MCResult's one JSON form, shared by the service wire
+// frames, the campaign journal and the result cache's disk tier. JSON
+// cannot carry the +Inf half-width below two estimator observations, so
+// it travels as ci_half_width 0 plus ci_half_width_inf. The per-run
+// materialisations follow only when present (pointers keep an empty
+// non-nil slice distinct from an absent one).
+type mcResultJSON struct {
+	Strategy        string        `json:"strategy"`
+	Summary         stats.Summary `json:"summary"`
+	MeanUtilization float64       `json:"mean_utilization"`
+	MeanFailures    float64       `json:"mean_failures"`
+	RunsUsed        int           `json:"runs_used"`
+	CIHalfWidth     float64       `json:"ci_half_width"`
+	CIHalfWidthInf  bool          `json:"ci_half_width_inf,omitempty"`
+	Confidence      float64       `json:"confidence"`
+	Cached          bool          `json:"cached,omitempty"`
+	WasteRatios     *[]float64    `json:"waste_ratios,omitempty"`
+	Results         *[]Result     `json:"results,omitempty"`
+}
+
+// MarshalJSON implements json.Marshaler.
+func (mc MCResult) MarshalJSON() ([]byte, error) {
+	j := mcResultJSON{
+		Strategy:        mc.Strategy,
+		Summary:         mc.Summary,
+		MeanUtilization: mc.MeanUtilization,
+		MeanFailures:    mc.MeanFailures,
+		RunsUsed:        mc.RunsUsed,
+		CIHalfWidth:     mc.CIHalfWidth,
+		Confidence:      mc.Confidence,
+		Cached:          mc.Cached,
+	}
+	if math.IsInf(mc.CIHalfWidth, 1) {
+		j.CIHalfWidth, j.CIHalfWidthInf = 0, true
+	}
+	if mc.WasteRatios != nil {
+		j.WasteRatios = &mc.WasteRatios
+	}
+	if mc.Results != nil {
+		j.Results = &mc.Results
+	}
+	return json.Marshal(j)
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (mc *MCResult) UnmarshalJSON(b []byte) error {
+	var j mcResultJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	*mc = MCResult{
+		Strategy:        j.Strategy,
+		Summary:         j.Summary,
+		MeanUtilization: j.MeanUtilization,
+		MeanFailures:    j.MeanFailures,
+		RunsUsed:        j.RunsUsed,
+		CIHalfWidth:     j.CIHalfWidth,
+		Confidence:      j.Confidence,
+		Cached:          j.Cached,
+	}
+	if j.CIHalfWidthInf {
+		mc.CIHalfWidth = math.Inf(1)
+	}
+	if j.WasteRatios != nil {
+		mc.WasteRatios = *j.WasteRatios
+	}
+	if j.Results != nil {
+		mc.Results = *j.Results
+	}
+	return nil
 }
 
 // MCOptions selects what a Monte-Carlo experiment materialises. The zero

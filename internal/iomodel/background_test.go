@@ -7,7 +7,7 @@ import (
 )
 
 func TestFCFSBackgroundPrefersForeground(t *testing.T) {
-	sel := FCFSBackground{}
+	sel := &Background{Inner: FCFS{}}
 	drain := &Transfer{Kind: Drain, Volume: 100, Nodes: 1}
 	input := &Transfer{Kind: Input, Volume: 100, Nodes: 1}
 	output := &Transfer{Kind: Output, Volume: 100, Nodes: 1}
@@ -20,7 +20,7 @@ func TestFCFSBackgroundPrefersForeground(t *testing.T) {
 }
 
 func TestFCFSBackgroundAllDrains(t *testing.T) {
-	sel := FCFSBackground{}
+	sel := &Background{Inner: FCFS{}}
 	a := &Transfer{Kind: Drain, Volume: 100, Nodes: 1}
 	b := &Transfer{Kind: Drain, Volume: 100, Nodes: 1}
 	if got := sel.Pick(0, []*Transfer{a, b}); got != 0 {
@@ -32,7 +32,7 @@ func TestFCFSBackgroundAllDrains(t *testing.T) {
 // foreground requests but runs once the queue is empty.
 func TestFCFSBackgroundDeviceIntegration(t *testing.T) {
 	eng := sim.New()
-	d := NewTokenDevice(eng, 100, FCFSBackground{})
+	d := NewTokenDevice(eng, 100, &Background{Inner: FCFS{}})
 	var order []string
 	mk := func(name string, kind Kind) *Transfer {
 		return &Transfer{Kind: kind, Volume: 500, Nodes: 1,
@@ -50,7 +50,7 @@ func TestFCFSBackgroundDeviceIntegration(t *testing.T) {
 }
 
 func TestFCFSBackgroundName(t *testing.T) {
-	if (FCFSBackground{}).Name() != "fcfs-background" {
+	if (&Background{Inner: FCFS{}}).Name() != "fcfs-background" {
 		t.Fatal("selector name wrong")
 	}
 	if Drain.String() != "drain" {

@@ -513,24 +513,6 @@ func (FCFS) Pick(_ float64, pending []*Transfer) int { return 0 }
 
 func (FCFS) Name() string { return "fcfs" }
 
-// FCFSBackground is FCFS over foreground requests, with burst-buffer
-// drains served only when no foreground request waits — the standard
-// drain-when-idle policy of burst-buffer systems, which prevents long
-// background drains from head-of-line-blocking job I/O.
-type FCFSBackground struct{}
-
-// Pick implements Selector.
-func (FCFSBackground) Pick(_ float64, pending []*Transfer) int {
-	for i, t := range pending {
-		if t.Kind != Drain {
-			return i
-		}
-	}
-	return 0
-}
-
-func (FCFSBackground) Name() string { return "fcfs-background" }
-
 // Background wraps any Selector with the drain-when-idle policy: the
 // inner selector orders only the foreground candidates, and burst-buffer
 // Drain transfers are considered solely when nothing else waits. Use it

@@ -114,7 +114,7 @@ func (fcfs) NewSelector(sc Scenario) iomodel.Selector {
 	if sc.Background {
 		// With burst-buffer drains in the mix, plain FCFS would let long
 		// background drains head-of-line-block job I/O behind the token.
-		return iomodel.FCFSBackground{}
+		return &iomodel.Background{Inner: iomodel.FCFS{}}
 	}
 	return iomodel.FCFS{}
 }

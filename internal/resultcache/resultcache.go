@@ -10,7 +10,6 @@ package resultcache
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -124,14 +123,6 @@ func (c *Cache) memPut(key string, mc engine.MCResult) {
 	c.mem[key] = mc
 }
 
-// diskEntry is the on-disk image. CIHalfWidth is +Inf below two
-// estimator observations, which JSON cannot carry — the flag round-trips
-// it.
-type diskEntry struct {
-	MC                engine.MCResult
-	CIHalfWidthPosInf bool `json:",omitempty"`
-}
-
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
@@ -144,27 +135,22 @@ func (c *Cache) readDisk(key string) (engine.MCResult, bool) {
 		}
 		return engine.MCResult{}, false
 	}
-	var e diskEntry
-	if err := json.Unmarshal(b, &e); err != nil {
-		// A torn or foreign file is a miss, not a failure.
+	var mc engine.MCResult
+	if err := json.Unmarshal(b, &mc); err != nil || mc.RunsUsed <= 0 {
+		// A torn or foreign file is a miss, not a failure. Every real
+		// entry folded at least one replicate, so a file that decodes
+		// without runs (another layout) is foreign too.
 		c.diskErrs.Add(1)
 		return engine.MCResult{}, false
 	}
-	if e.CIHalfWidthPosInf {
-		e.MC.CIHalfWidth = math.Inf(1)
-	}
-	return e.MC, true
+	return mc, true
 }
 
-// writeDisk lands the entry atomically: temp file in the same directory,
-// then rename — a crash mid-write leaves no torn entry under the key.
+// writeDisk lands the entry, in engine.MCResult's JSON form, atomically:
+// temp file in the same directory, then rename — a crash mid-write
+// leaves no torn entry under the key.
 func (c *Cache) writeDisk(key string, mc engine.MCResult) {
-	e := diskEntry{MC: mc}
-	if math.IsInf(mc.CIHalfWidth, 1) {
-		e.CIHalfWidthPosInf = true
-		e.MC.CIHalfWidth = 0
-	}
-	b, err := json.Marshal(e)
+	b, err := json.Marshal(mc)
 	if err != nil {
 		c.diskErrs.Add(1)
 		return

@@ -46,12 +46,6 @@ type Options struct {
 	Cache engine.ResultCache
 	// Version is the build identification reported by /healthz.
 	Version string
-	// SyncEvery and SnapshotEvery tune the campaign journals (0 =
-	// campaign defaults).
-	SyncEvery     int
-	SnapshotEvery int
-	// Retry overrides the campaign retry policy (zero = defaults).
-	Retry campaign.RetryPolicy
 }
 
 // Campaign lifecycle states.
@@ -276,15 +270,12 @@ func (e *BadSpecError) Unwrap() error { return e.Err }
 func (s *Server) startRun(id, name string, submittedAt time.Time, res api.Resolved) {
 	ctx, cancel := context.WithCancel(s.lifeCtx)
 	camp := campaign.New(campaign.Options{
-		JournalPath:   s.journalPath(id),
-		Resume:        true,
-		SyncEvery:     s.opts.SyncEvery,
-		SnapshotEvery: s.opts.SnapshotEvery,
-		Retry:         s.opts.Retry,
-		Workers:       s.opts.Workers,
-		Antithetic:    res.Antithetic,
-		TargetCI:      res.TargetCI,
-		Cache:         s.opts.Cache,
+		JournalPath: s.journalPath(id),
+		Resume:      true,
+		Workers:     s.opts.Workers,
+		Antithetic:  res.Antithetic,
+		TargetCI:    res.TargetCI,
+		Cache:       s.opts.Cache,
 	})
 	r := &run{
 		id:          id,
