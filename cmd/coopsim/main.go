@@ -74,17 +74,13 @@ func main() {
 	flag.Parse()
 	cliutil.HandleVersion("coopsim", *version)
 
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "coopsim: %v\n", err)
-		os.Exit(2)
-	}
 	schedName, err := cliutil.Scheduler(*scheduler)
 	if err != nil {
-		fail(err)
+		cliutil.Exit("coopsim", 2, err)
 	}
 	stopProfiles, err := cliutil.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
-		fail(err)
+		cliutil.Exit("coopsim", 2, err)
 	}
 	defer stopProfiles()
 
@@ -94,23 +90,23 @@ func main() {
 	}
 	plat, err := cliutil.Platform(*platformName, *bw, *mtbf)
 	if err != nil {
-		fail(err)
+		cliutil.Exit("coopsim", 2, err)
 	}
 	strategies, err := cliutil.Strategies(*strategyName)
 	if err != nil {
-		fail(err)
+		cliutil.Exit("coopsim", 2, err)
 	}
 	channelCounts, err := cliutil.Channels(*channels)
 	if err != nil {
-		fail(err)
+		cliutil.Exit("coopsim", 2, err)
 	}
 	tci, err := cliutil.TargetCI(*targetCI)
 	if err != nil {
-		fail(err)
+		cliutil.Exit("coopsim", 2, err)
 	}
 	cache, err := cacheFlags.Open()
 	if err != nil {
-		fail(err)
+		cliutil.Exit("coopsim", 2, err)
 	}
 
 	// -ndjson emits the daemon's wire framing by running the identical
@@ -118,13 +114,13 @@ func main() {
 	var emitFrame func(campaign.PointResult)
 	if *ndjson {
 		if *tsv || *breakdown || *paired {
-			fail(errors.New("-ndjson replaces row output; it is incompatible with -tsv, -breakdown and -paired"))
+			cliutil.Exit("coopsim", 2, errors.New("-ndjson replaces row output; it is incompatible with -tsv, -breakdown and -paired"))
 		}
 		emitFrame = func(pr campaign.PointResult) {
 			p := api.FromPointResult(pr)
 			b, err := api.EncodeJSON(api.StreamFrame{Point: &p})
 			if err != nil {
-				fail(err)
+				cliutil.Exit("coopsim", 2, err)
 			}
 			os.Stdout.Write(b)
 		}
@@ -150,7 +146,7 @@ func main() {
 	case *sweepBW != "":
 		vals, err := cliutil.SweepValues(*sweepBW)
 		if err != nil {
-			fail(err)
+			cliutil.Exit("coopsim", 2, err)
 		}
 		for _, b := range vals {
 			grid.BandwidthsBps = append(grid.BandwidthsBps, units.GBps(b))
@@ -158,7 +154,7 @@ func main() {
 	case *sweepMTBF != "":
 		vals, err := cliutil.SweepValues(*sweepMTBF)
 		if err != nil {
-			fail(err)
+			cliutil.Exit("coopsim", 2, err)
 		}
 		for _, y := range vals {
 			grid.NodeMTBFSeconds = append(grid.NodeMTBFSeconds, units.Years(y))
@@ -220,8 +216,7 @@ func main() {
 		p.NodeMTBFSeconds = pt.NodeMTBFSeconds
 		sol, err := repro.LowerBound(p, repro.APEXClasses())
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "coopsim: lower bound: %v\n", err)
-			os.Exit(1)
+			cliutil.Exit("coopsim", 1, fmt.Errorf("lower bound: %w", err))
 		}
 		if *tsv {
 			// Columns match tsvHeader: n=1, stddev=0, every order
@@ -238,17 +233,17 @@ func main() {
 	}
 
 	if campaignFlags.Enabled() || *ndjson {
-		// The campaign layer owns its streaming session (the only path
-		// with O(1) resumable state), so the exact-candlestick and
+		// The campaign layer owns its streaming session (the path whose
+		// replicate outcomes can be refolded), so the exact-candlestick and
 		// per-run-detail options are out: quantiles beyond 64 runs are
 		// online P² estimates, and -breakdown/-paired need per-run data
 		// the journal never stores.
 		if *breakdown || *paired {
-			fail(fmt.Errorf("-journal/-resume/-retry/-point-timeout run the streaming campaign path; -breakdown and -paired are not supported there"))
+			cliutil.Exit("coopsim", 2, errors.New("-journal/-resume/-retry/-point-timeout run the streaming campaign path; -breakdown and -paired are not supported there"))
 		}
 		copts, err := campaignFlags.CampaignOptions("", *workers, *antithetic, tci, nil)
 		if err != nil {
-			fail(err)
+			cliutil.Exit("coopsim", 2, err)
 		}
 		if cache != nil {
 			copts.Cache = cache
@@ -258,7 +253,7 @@ func main() {
 		if *progressFlag {
 			stopProgress = startProgressReporter(camp)
 		}
-		runCampaign(ctx, camp, base, grid, *runs, stopProfiles, printRow, printTheory, emitFrame)
+		runCampaign(ctx, camp, base, grid, *runs, printRow, printTheory, emitFrame)
 		stopProgress()
 		printCacheSummary(cache, cachedRows, totalRows)
 		return
@@ -296,7 +291,7 @@ func main() {
 		// The paired comparison is a single-scenario experiment: the
 		// differences only pair when every strategy sees one scenario.
 		if *sweepBW != "" || *sweepMTBF != "" || len(channelCounts) != 1 {
-			fail(fmt.Errorf("-paired needs a single scenario point (no sweeps, one -channels count)"))
+			cliutil.Exit("coopsim", 2, errors.New("-paired needs a single scenario point (no sweeps, one -channels count)"))
 		}
 		base.Channels = channelCounts[0]
 		runPaired(ctx, session, base, strategies, *runs, *tsv)
@@ -312,9 +307,7 @@ func main() {
 		if errors.Is(err, context.Canceled) {
 			cliutil.ExitInterrupted("coopsim", err)
 		}
-		stopProfiles()
-		fmt.Fprintf(os.Stderr, "coopsim: %v\n", err)
-		os.Exit(1)
+		cliutil.Exit("coopsim", 1, err)
 	}
 	printCacheSummary(cache, cachedRows, totalRows)
 }
@@ -375,7 +368,7 @@ func startProgressReporter(camp *campaign.Campaign) (stop func()) {
 // failed and skipped points go to stderr and make the command exit
 // non-zero after the whole grid has been given its chance — one
 // poisoned point does not abort a sweep.
-func runCampaign(ctx context.Context, camp *campaign.Campaign, base repro.Config, grid repro.SweepGrid, runs int, stopProfiles func(), printRow func(repro.SweepPoint, repro.MCResult), printTheory func(repro.SweepPoint), emit func(campaign.PointResult)) {
+func runCampaign(ctx context.Context, camp *campaign.Campaign, base repro.Config, grid repro.SweepGrid, runs int, printRow func(repro.SweepPoint, repro.MCResult), printTheory func(repro.SweepPoint), emit func(campaign.PointResult)) {
 	seq, errf := camp.RunSweep(ctx, base, grid, runs)
 	restored, failed, skipped := 0, 0, 0
 	for pr := range seq {
@@ -411,17 +404,13 @@ func runCampaign(ctx context.Context, camp *campaign.Campaign, base repro.Config
 			// close path: Ctrl-C + -resume loses no completed work.
 			cliutil.ExitInterrupted("coopsim", err)
 		}
-		stopProfiles()
-		fmt.Fprintf(os.Stderr, "coopsim: %v\n", err)
-		os.Exit(1)
+		cliutil.Exit("coopsim", 1, err)
 	}
 	if restored > 0 {
 		fmt.Fprintf(os.Stderr, "coopsim: %d point(s) restored from journal\n", restored)
 	}
 	if failed > 0 || skipped > 0 {
-		stopProfiles()
-		fmt.Fprintf(os.Stderr, "coopsim: campaign degraded: %d failed, %d skipped point(s); rerun with -resume to retry them\n", failed, skipped)
-		os.Exit(3)
+		cliutil.Exit("coopsim", 3, fmt.Errorf("campaign degraded: %d failed, %d skipped point(s); rerun with -resume to retry them", failed, skipped))
 	}
 }
 
@@ -437,8 +426,7 @@ func runPaired(ctx context.Context, session *repro.Session, base repro.Config, s
 		if errors.Is(err, context.Canceled) {
 			cliutil.ExitInterrupted("coopsim", err)
 		}
-		fmt.Fprintf(os.Stderr, "coopsim: %v\n", err)
-		os.Exit(1)
+		cliutil.Exit("coopsim", 1, err)
 	}
 	bwGBps := base.Platform.BandwidthBps / units.GB
 	mtbfYears := base.Platform.NodeMTBFSeconds / units.Year

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"os"
 
 	"repro"
 	"repro/internal/cliutil"
@@ -44,7 +43,7 @@ func main() {
 	mk := func(bwGBps, mtbfYears float64) repro.Platform {
 		p, err := cliutil.Platform(*platformName, bwGBps, mtbfYears)
 		if err != nil {
-			fatal(err)
+			cliutil.Exit("lowerbound", 1, err)
 		}
 		return p
 	}
@@ -54,26 +53,26 @@ func main() {
 	case *sweepBW != "":
 		vals, err := cliutil.SweepValues(*sweepBW)
 		if err != nil {
-			fatal(err)
+			cliutil.Exit("lowerbound", 1, err)
 		}
 		fmt.Println("bandwidth_gbps\tlambda\tio_fraction\twaste")
 		for _, b := range vals {
 			sol, err := repro.LowerBound(mk(b, *mtbf), classes)
 			if err != nil {
-				fatal(err)
+				cliutil.Exit("lowerbound", 1, err)
 			}
 			fmt.Printf("%g\t%.6g\t%.4f\t%.4f\n", b, sol.Lambda, sol.IOFraction, sol.Waste)
 		}
 	case *sweepMTBF != "":
 		vals, err := cliutil.SweepValues(*sweepMTBF)
 		if err != nil {
-			fatal(err)
+			cliutil.Exit("lowerbound", 1, err)
 		}
 		fmt.Println("mtbf_years\tlambda\tio_fraction\twaste")
 		for _, y := range vals {
 			sol, err := repro.LowerBound(mk(*bw, y), classes)
 			if err != nil {
-				fatal(err)
+				cliutil.Exit("lowerbound", 1, err)
 			}
 			fmt.Printf("%g\t%.6g\t%.4f\t%.4f\n", y, sol.Lambda, sol.IOFraction, sol.Waste)
 		}
@@ -81,11 +80,11 @@ func main() {
 		p := mk(*bw, *mtbf)
 		sol, err := repro.LowerBound(p, classes)
 		if err != nil {
-			fatal(err)
+			cliutil.Exit("lowerbound", 1, err)
 		}
 		params, err := repro.InstantiateClasses(p, classes)
 		if err != nil {
-			fatal(err)
+			cliutil.Exit("lowerbound", 1, err)
 		}
 		fmt.Printf("platform=%s bandwidth=%s nodeMTBF=%gy systemMTBF=%s\n",
 			p.Name, units.FormatBandwidth(p.BandwidthBps), *mtbf, units.FormatDuration(p.SystemMTBF()))
@@ -108,7 +107,7 @@ func main() {
 func simulateCheck(p repro.Platform, name string, bound float64, runs int, days float64, seed uint64) {
 	strat, ok := repro.StrategyByName(name)
 	if !ok {
-		fatal(fmt.Errorf("unknown strategy %q", name))
+		cliutil.Exit("lowerbound", 1, fmt.Errorf("unknown strategy %q", name))
 	}
 	cfg := repro.Config{
 		Platform:    p,
@@ -124,14 +123,9 @@ func simulateCheck(p repro.Platform, name string, bound float64, runs int, days 
 		if errors.Is(err, context.Canceled) {
 			cliutil.ExitInterrupted("lowerbound", err)
 		}
-		fatal(err)
+		cliutil.Exit("lowerbound", 1, err)
 	}
 	s := mc.Summary
 	fmt.Printf("\nmeasured %s over %d runs: mean=%.4f box=[%.4f %.4f] (bound %.4f, gap %+.4f)\n",
 		strat.Name(), runs, s.Mean, s.P25, s.P75, bound, s.Mean-bound)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "lowerbound: %v\n", err)
-	os.Exit(1)
 }

@@ -89,26 +89,26 @@ func main() {
 	var err error
 	opts.strategies, err = cliutil.Strategies(strategySpec)
 	if err != nil {
-		fatal(err)
+		cliutil.Exit("paperfigs", 1, err)
 	}
 	tci, err := cliutil.TargetCI(targetCISpec)
 	if err != nil {
-		fatal(err)
+		cliutil.Exit("paperfigs", 1, err)
 	}
 	opts.antithetic = antithetic
 	opts.targetCI = tci
 	opts.scheduler, err = cliutil.Scheduler(schedulerSpec)
 	if err != nil {
-		fatal(err)
+		cliutil.Exit("paperfigs", 1, err)
 	}
 	stopProfiles, err := cliutil.StartProfiles(cpuprofile, memprofile)
 	if err != nil {
-		fatal(err)
+		cliutil.Exit("paperfigs", 1, err)
 	}
 	defer stopProfiles()
 	opts.cache, err = cacheFlags.Open()
 	if err != nil {
-		fatal(err)
+		cliutil.Exit("paperfigs", 1, err)
 	}
 
 	ctx, cancel := cliutil.InterruptContext()
@@ -148,14 +148,11 @@ func main() {
 		fig2(ctx, session, opts)
 		fig3(ctx, session, opts)
 	default:
-		fmt.Fprintf(os.Stderr, "paperfigs: unknown command %q (table1|fig1|fig2|fig3|all)\n", cmd)
-		os.Exit(2)
+		cliutil.Exit("paperfigs", 2, fmt.Errorf("unknown command %q (table1|fig1|fig2|fig3|all)", cmd))
 	}
 	cliutil.ReportCacheStats("paperfigs", opts.cache)
 	if degradedPoints > 0 {
-		stopProfiles()
-		fmt.Fprintf(os.Stderr, "paperfigs: campaign degraded: %d quarantined/skipped point(s); rerun with -resume to retry them\n", degradedPoints)
-		os.Exit(3)
+		cliutil.Exit("paperfigs", 3, fmt.Errorf("campaign degraded: %d quarantined/skipped point(s); rerun with -resume to retry them", degradedPoints))
 	}
 }
 
@@ -189,12 +186,12 @@ func table1(opts options) {
 	p := repro.Cielo(160, 2)
 	params, err := repro.InstantiateClasses(p, classes)
 	if err != nil {
-		fatal(err)
+		cliutil.Exit("paperfigs", 1, err)
 	}
 	fmt.Printf("%-22s%12s%12s%12s%12s%12s\n", "class", "nodes", "memory", "ckpt size", "C@160GB/s", "Daly@160")
 	sol, err := repro.LowerBound(p, classes)
 	if err != nil {
-		fatal(err)
+		cliutil.Exit("paperfigs", 1, err)
 	}
 	for i, cp := range params {
 		fmt.Printf("%-22s%12d%12s%12s%11.0fs%11.0fs\n",
@@ -246,7 +243,7 @@ func runSweep(ctx context.Context, session *repro.Session, opts options, base re
 	if opts.campaign.Enabled() {
 		copts, err := opts.campaign.CampaignOptions("."+fig, opts.workers, opts.antithetic, opts.targetCI, nil)
 		if err != nil {
-			fatal(err)
+			cliutil.Exit("paperfigs", 1, err)
 		}
 		if opts.cache != nil {
 			copts.Cache = opts.cache
@@ -265,7 +262,7 @@ func runSweep(ctx context.Context, session *repro.Session, opts options, base re
 			if errors.Is(err, context.Canceled) {
 				cliutil.ExitInterrupted("paperfigs", err)
 			}
-			fatal(err)
+			cliutil.Exit("paperfigs", 1, err)
 		}
 		return
 	}
@@ -279,7 +276,7 @@ func runSweep(ctx context.Context, session *repro.Session, opts options, base re
 		if errors.Is(err, context.Canceled) {
 			cliutil.ExitInterrupted("paperfigs", err)
 		}
-		fatal(err)
+		cliutil.Exit("paperfigs", 1, err)
 	}
 }
 
@@ -287,7 +284,7 @@ func runSweep(ctx context.Context, session *repro.Session, opts options, base re
 func theoryRow(opts options, p repro.Platform, axis string, axisValue float64) {
 	sol, err := repro.LowerBound(p, repro.APEXClasses())
 	if err != nil {
-		fatal(err)
+		cliutil.Exit("paperfigs", 1, err)
 	}
 	if opts.tsv {
 		fmt.Printf("%s\t%g\tTheoretical-Model\t1\t%.6f\t0\t%.6f\t%.6f\t%.6f\t%.6f\t%.6f\t%.6f\t%.6f\t0\n",
@@ -403,7 +400,7 @@ func fig3(ctx context.Context, session *repro.Session, opts options) {
 		}
 		theory, err := repro.LowerBoundMinBandwidth(repro.Prospective(1000, y), repro.APEXClasses(), 0.2, loBps, hiBps)
 		if err != nil {
-			fatal(err)
+			cliutil.Exit("paperfigs", 1, err)
 		}
 		if opts.tsv {
 			fmt.Printf("mtbf_years\t%g\tTheoretical-Model\t%.4f\n", y, theory/units.TB)
@@ -412,9 +409,4 @@ func fig3(ctx context.Context, session *repro.Session, opts options) {
 		}
 	}
 	fmt.Printf("-- fig3 done in %v --\n\n", time.Since(start).Round(time.Second))
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
-	os.Exit(1)
 }

@@ -662,18 +662,9 @@ type StreamEnd struct {
 	Points int    `json:"points"`
 }
 
-// Progress is a point-in-time snapshot of campaign advancement, the wire
-// image of campaign.Progress.
-type Progress struct {
-	PointsDone       int `json:"points_done"`
-	PointsFailed     int `json:"points_failed,omitempty"`
-	PointsSkipped    int `json:"points_skipped,omitempty"`
-	PointsRestored   int `json:"points_restored,omitempty"`
-	PointsTotal      int `json:"points_total"`
-	ReplicatesFolded int `json:"replicates_folded"`
-	ReplicatesTotal  int `json:"replicates_total"`
-	CacheHits        int `json:"cache_hits,omitempty"`
-}
+// Progress is a point-in-time snapshot of campaign advancement; the
+// campaign layer's own type carries the wire tags.
+type Progress = campaign.Progress
 
 // CampaignInfo describes one campaign in listings and inspections.
 type CampaignInfo struct {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/failure"
@@ -234,6 +235,34 @@ func TestStreamFrameBytesPinned(t *testing.T) {
 		}
 		if out := back.Point.MC.Engine(); out.CIHalfWidth != tc.mc.CIHalfWidth || out.Summary != tc.mc.Summary || out.WasteRatios != nil {
 			t.Errorf("%s frame did not decode back: %+v", tc.mc.Strategy, out)
+		}
+	}
+}
+
+// TestCampaignInfoBytesPinned pins the listing payload byte for byte:
+// Progress is the campaign layer's own type, and its tags and field order
+// are the wire layout clients already parse.
+func TestCampaignInfoBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		info CampaignInfo
+		want string
+	}{
+		{CampaignInfo{
+			ID: "c-000000000007", Name: "fig1", State: "running",
+			SubmittedAt: time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC), Runs: 8, Points: 6, Results: 3,
+			Progress: Progress{PointsDone: 3, PointsFailed: 1, PointsSkipped: 2, PointsRestored: 1, PointsTotal: 6,
+				ReplicatesFolded: 29, ReplicatesTotal: 48, CacheHits: 1},
+			Error: "boom",
+		}, `{"id":"c-000000000007","name":"fig1","state":"running","submitted_at":"2026-01-02T03:04:05Z","runs":8,"points":6,"results":3,"progress":{"points_done":3,"points_failed":1,"points_skipped":2,"points_restored":1,"points_total":6,"replicates_folded":29,"replicates_total":48,"cache_hits":1},"error":"boom"}` + "\n"},
+		{CampaignInfo{State: "queued", Progress: Progress{PointsTotal: 2, ReplicatesTotal: 8}},
+			`{"id":"","state":"queued","submitted_at":"0001-01-01T00:00:00Z","runs":0,"points":0,"results":0,"progress":{"points_done":0,"points_total":2,"replicates_folded":0,"replicates_total":8}}` + "\n"},
+	} {
+		got, err := EncodeJSON(tc.info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("campaign info bytes moved:\n got %s\nwant %s", got, tc.want)
 		}
 	}
 }

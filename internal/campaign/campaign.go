@@ -150,19 +150,10 @@ type Options struct {
 	// continuing it. Without Resume an existing journal file is an
 	// error — refusing to guess is safer than silently merging.
 	Resume bool
-	// SnapshotEvery journals an in-point accumulator snapshot every this
-	// many folded replicates (0 selects 8). Snapshot cadence trades
-	// journal I/O against re-simulated replicates on resume — a resumed
-	// point restarts from the last snapshot and re-folds the short tail
-	// bit-identically, so the setting never affects results. 1 is the
-	// zero-loss setting: a snapshot record at every replicate boundary
-	// (fsync bandwidth then bounds replicate throughput — ~2.5 KB of
-	// journal per replicate).
-	SnapshotEvery int
-	// SyncEvery batches journal fsyncs (0 selects 16; point completions
-	// always sync). At most SyncEvery-1 snapshot records can be lost to
-	// a crash — each costing SnapshotEvery re-simulated replicates on
-	// resume, never correctness.
+	// SyncEvery batches journal fsyncs (0 selects 128; point completions
+	// always sync). At most SyncEvery-1 replicate records can be lost to
+	// a crash — each costing one re-simulated replicate on resume, never
+	// correctness.
 	SyncEvery int
 	// Retry is the failure-handling policy.
 	Retry RetryPolicy
@@ -194,18 +185,22 @@ type Options struct {
 // points satisfied from the result cache instead of simulated.
 type Progress struct {
 	// PointsDone, PointsFailed and PointsSkipped classify the points the
-	// run has concluded so far; PointsTotal is the grid size.
-	PointsDone, PointsFailed, PointsSkipped, PointsTotal int
-	// PointsRestored counts the done points that were replayed from the
-	// journal rather than simulated or cache-served this run.
-	PointsRestored int
+	// run has concluded so far; PointsRestored counts the done points
+	// that were replayed from the journal rather than simulated or
+	// cache-served this run; PointsTotal is the grid size.
+	PointsDone     int `json:"points_done"`
+	PointsFailed   int `json:"points_failed,omitempty"`
+	PointsSkipped  int `json:"points_skipped,omitempty"`
+	PointsRestored int `json:"points_restored,omitempty"`
+	PointsTotal    int `json:"points_total"`
 	// ReplicatesFolded / ReplicatesTotal measure replicate progress
 	// across the whole grid (total = points × runs; a point stopped
 	// early by a target CI or served whole from cache/journal advances
 	// by its RunsUsed, so the ratio may finish below 1).
-	ReplicatesFolded, ReplicatesTotal int
+	ReplicatesFolded int `json:"replicates_folded"`
+	ReplicatesTotal  int `json:"replicates_total"`
 	// CacheHits counts points served from Options.Cache this run.
-	CacheHits int
+	CacheHits int `json:"cache_hits,omitempty"`
 }
 
 // Campaign runs sweeps durably over one engine.Session.
@@ -216,6 +211,12 @@ type Campaign struct {
 	// campaign-wide progress; mutated only between experiments.
 	progressBase  int
 	progressTotal int
+	// journal, point and prefix belong to the point runPoint is driving:
+	// record appends each folded replicate's outcome to prefix and to
+	// the journal.
+	journal *Journal
+	point   int
+	prefix  []engine.Result
 	// progMu guards prog, the snapshot Snapshot serves: every other
 	// Campaign field is single-goroutine, but the snapshot is exactly
 	// the state outside observers poll concurrently.
@@ -239,7 +240,8 @@ func (c *Campaign) note(f func(*Progress)) {
 }
 
 // New returns a campaign runner. The underlying session uses the
-// streaming aggregation path — the only path with O(1) resumable state.
+// streaming aggregation path — the one whose replicate outcomes can be
+// refolded on resume.
 func New(opts Options) *Campaign {
 	c := &Campaign{opts: opts}
 	sopts := []engine.SessionOption{
@@ -259,9 +261,20 @@ func New(opts Options) *Campaign {
 		if opts.Progress != nil {
 			opts.Progress(folded, c.progressTotal)
 		}
-	}))
+	}), engine.WithOnResult(c.record))
 	c.session = engine.NewSession(sopts...)
 	return c
+}
+
+// record is the session's per-run hook. It keeps the running point's
+// folded outcomes in memory, so a retry refolds them instead of
+// re-simulating, and journals each one for a resume after a crash.
+// Durability errors latch in the journal and fail the campaign after the
+// attempt returns.
+func (c *Campaign) record(i int, r engine.Result) {
+	rec := replicateRecord{Point: c.point, Run: i, WasteRatio: r.WasteRatio, Utilization: r.Utilization, Failures: r.Failures}
+	c.prefix = append(c.prefix, rec.result())
+	_ = c.journal.append(recReplicate, rec, false)
 }
 
 // openOrCreate sets up the journal per Options, returning the replayed
@@ -272,7 +285,7 @@ func (c *Campaign) openOrCreate(fp string, points, runs int, seed uint64) (*Jour
 	}
 	syncEvery := c.opts.SyncEvery
 	if syncEvery == 0 {
-		syncEvery = 16
+		syncEvery = 128
 	}
 	if c.opts.Resume {
 		j, st, err := OpenJournal(c.opts.JournalPath, syncEvery)
@@ -297,17 +310,17 @@ func (c *Campaign) openOrCreate(fp string, points, runs int, seed uint64) (*Jour
 }
 
 // RunSweep evaluates the grid over the base configuration durably: each
-// point runs as its own Monte-Carlo experiment with journaled snapshots,
+// point runs as its own Monte-Carlo experiment with journaled replicates,
 // retry, quarantine and breaker handling, and results stream in grid
 // order as an iterator. The returned errf (call it after iteration)
 // reports campaign-level failure — journal durability loss or context
 // cancellation; per-point failures are in-band as PointResult.Status.
 //
 // Resume semantics when Options.Resume finds a journal: completed points
-// replay instantly as Restored; a point with a mid-experiment snapshot
-// restarts at replicate Folded+1 under the pinned CRN schedule, folding
-// into its restored accumulators — bit-identical to never having
-// stopped; previously failed points get a fresh attempt budget.
+// replay instantly as Restored; a point with journaled replicates refolds
+// them and continues at the next replicate under the pinned CRN schedule
+// — bit-identical to never having stopped; previously failed points get
+// a fresh attempt budget.
 func (c *Campaign) RunSweep(ctx context.Context, base engine.Config, grid engine.SweepGrid, runs int) (iter.Seq[PointResult], func() error) {
 	var campErr error
 	seq := func(yield func(PointResult) bool) {
@@ -352,9 +365,9 @@ func (c *Campaign) runSweep(ctx context.Context, base engine.Config, grid engine
 	sealed := false
 	defer func() {
 		// Close is the crash-consistency boundary: everything appended
-		// — completed points and the latest snapshots — is synced even
-		// when the campaign stops early, so a later resume loses
-		// nothing that was reported.
+		// — completed points and the in-flight point's replicates — is
+		// synced even when the campaign stops early, so a later resume
+		// loses nothing that was reported.
 		if !sealed {
 			j.Close()
 		}
@@ -499,16 +512,13 @@ func (c *Campaign) cachePut(key string, mc engine.MCResult) {
 // per-point failure comes back inside the PointResult.
 func (c *Campaign) runPoint(ctx context.Context, base engine.Config, pt engine.SweepPoint, runs int, policy RetryPolicy, j *Journal, st *PointState) (PointResult, error) {
 	cfg := pt.Apply(base)
-	snap := (*engine.MCSnapshot)(nil)
+	c.journal, c.point, c.prefix = j, pt.Index, nil
+	defer func() { c.journal, c.prefix = nil, nil }()
 	priorAttempts := 0
 	if st != nil {
-		snap = st.Snap
-		priorAttempts = st.Attempts
+		c.prefix, priorAttempts = st.Prefix, st.Attempts
 	}
-	restoredFrom := 0
-	if snap != nil {
-		restoredFrom = snap.Folded
-	}
+	restoredFrom := len(c.prefix)
 
 	var lastErr error
 	attempts := 0
@@ -523,42 +533,8 @@ func (c *Campaign) runPoint(ctx context.Context, base engine.Config, pt engine.S
 		if policy.PointTimeout > 0 {
 			attemptCtx, cancel = context.WithTimeout(ctx, policy.PointTimeout)
 		}
-		spec := engine.ResumeSpec{
-			From:          snap,
-			SnapshotEvery: c.opts.SnapshotEvery,
-		}
-		if j != nil {
-			spec.OnSnapshot = func(s engine.MCSnapshot) {
-				// Journal the snapshot and keep it in memory: a retry
-				// of this point resumes from the last boundary instead
-				// of replaying the whole point. Durability errors latch
-				// in the journal and fail the campaign after the
-				// attempt returns.
-				_ = j.append(recSnap, snapRecord{Point: pt.Index, Snap: s}, false)
-				s2 := s
-				snap = &s2
-			}
-			if spec.SnapshotEvery == 0 {
-				// ~2.5 KB of journal per snapshot and fsync cost scales
-				// with dirty bytes, so per-replicate records would bound
-				// replicate throughput by disk bandwidth; every 8th
-				// boundary keeps the overhead a fraction of a percent
-				// and a crash re-simulates at most the short tail.
-				spec.SnapshotEvery = 8
-			}
-		} else {
-			spec.OnSnapshot = func(s engine.MCSnapshot) {
-				s2 := s
-				snap = &s2
-			}
-			if spec.SnapshotEvery == 0 {
-				// Unjournaled campaigns only snapshot to bound retry
-				// re-work; per-replicate granularity is overkill.
-				spec.SnapshotEvery = 16
-			}
-		}
-
-		mc, err := c.session.MonteCarloResume(attemptCtx, cfg, runs, spec)
+		// A retry resumes from the replicates the failed attempt folded.
+		mc, err := c.session.MonteCarloResume(attemptCtx, cfg, runs, c.prefix)
 		cancel()
 		if jerr := j.Err(); jerr != nil {
 			// The journal can no longer guarantee durability; pressing

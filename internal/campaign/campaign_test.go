@@ -176,7 +176,7 @@ func TestCampaignResumeMidPointBitIdentity(t *testing.T) {
 	want := golden(t, base, grid, runs)
 
 	// Cancel mid-second-point: point 0 is sealed in the journal, point 1
-	// has a partial snapshot trail.
+	// has a partial trail of replicate records.
 	for _, cutAt := range []int{3, runs + 2, runs + 7} {
 		path := filepath.Join(t.TempDir(), "campaign.journal")
 		ctx, cancel := context.WithCancel(context.Background())
@@ -229,11 +229,10 @@ func TestCampaignTornTailRecovery(t *testing.T) {
 	want := golden(t, base, grid, runs)
 
 	path := filepath.Join(t.TempDir(), "campaign.journal")
-	// Let the header and a handful of records through, then tear one.
-	// SnapshotEvery 1 keeps the record volume high enough that the torn
-	// write lands mid-point.
+	// Let the header and a handful of records through, then tear one:
+	// one replicate record per replicate lands the torn write mid-point.
 	restore := faultinject.Set(faultinject.SiteJournalWrite, faultinject.ShortWriteOnce(5, 7))
-	seq, errf := New(Options{JournalPath: path, Workers: 2, SyncEvery: 1, SnapshotEvery: 1}).
+	seq, errf := New(Options{JournalPath: path, Workers: 2, SyncEvery: 1}).
 		RunSweep(context.Background(), base, grid, runs)
 	for range seq {
 	}
@@ -420,8 +419,8 @@ func TestCampaignPointTimeout(t *testing.T) {
 }
 
 // TestCampaignRetryResumesMidPoint: a transient failure consumed by the
-// retry policy restarts the point from its last snapshot, and the final
-// aggregates stay bit-identical to a never-failing run.
+// retry policy resumes the point from the replicates it folded, and the
+// final aggregates stay bit-identical to a never-failing run.
 func TestCampaignRetryResumesMidPoint(t *testing.T) {
 	base := tinyConfig(mustStrategy(t, "Least-Waste"), 71)
 	grid := engine.SweepGrid{}
@@ -502,7 +501,7 @@ func TestCampaignChildProcess(t *testing.T) {
 		t.Skip("helper process for TestCampaignSIGKILLResume")
 	}
 	base := tinyConfig(mustStrategy(t, "Ordered-NB-Daly"), 97)
-	// SyncEvery 1: every snapshot durable, so the parent's kill point is
+	// SyncEvery 1: every replicate durable, so the parent's kill point is
 	// always recoverable. Slow on purpose-built hardware is fine here —
 	// the grid is tiny.
 	seq, errf := New(Options{JournalPath: path, Resume: true, Workers: 2, SyncEvery: 1}).

@@ -123,22 +123,25 @@ func frame(body string) string {
 	return fmt.Sprintf("%08x %s\n", crc32.Checksum([]byte(body), crcTable), body)
 }
 
-// TestJournalV1Refused: a journal written by the version 1 format is
-// refused with the version error, both on inspection and on resume.
+// TestJournalV1Refused: journals written by the version 1 and version 2
+// formats are refused with the version error, both on inspection and on
+// resume.
 func TestJournalV1Refused(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "campaign.journal")
-	v1 := frame(`{"t":"header","d":{"version":1,"fingerprint":"5d1c","points":1,"runs":4,"seed":81}}`) +
-		frame(`{"t":"point_done","d":{"point":0,"mc":{"strategy":"Ordered-NB-Daly","summary":{"n":4,"mean":0.1},"runs_used":4,"ci_half_width":"inf","confidence":0.95}}}`)
-	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	const want = "journal version 1, this build reads 2"
-	if _, err := ReadJournal(path); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("ReadJournal on a v1 journal: %v, want %q", err, want)
-	}
 	base := tinyConfig(mustStrategy(t, "Ordered-NB-Daly"), 81)
-	if _, err := runAll(New(Options{JournalPath: path, Resume: true, Workers: 2}), base, engine.SweepGrid{}, 4); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("resume of a v1 journal: %v, want %q", err, want)
+	for _, version := range []int{1, 2} {
+		path := filepath.Join(t.TempDir(), "campaign.journal")
+		old := frame(fmt.Sprintf(`{"t":"header","d":{"version":%d,"fingerprint":"5d1c","points":1,"runs":4,"seed":81}}`, version)) +
+			frame(`{"t":"point_done","d":{"point":0,"mc":{"strategy":"Ordered-NB-Daly","summary":{"n":4,"mean":0.1},"runs_used":4,"ci_half_width":"inf","confidence":0.95}}}`)
+		if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("journal version %d, this build reads 3", version)
+		if _, err := ReadJournal(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("ReadJournal on a v%d journal: %v, want %q", version, err, want)
+		}
+		if _, err := runAll(New(Options{JournalPath: path, Resume: true, Workers: 2}), base, engine.SweepGrid{}, 4); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("resume of a v%d journal: %v, want %q", version, err, want)
+		}
 	}
 }
 
@@ -148,10 +151,10 @@ func TestJournalV1Refused(t *testing.T) {
 func FuzzJournalReplay(f *testing.F) {
 	base := tinyConfig(mustStrategy(f, "Least-Waste"), 53)
 	// A one-point, two-replicate campaign journals every record type a
-	// run writes (header, snap, point_done, seal) while keeping the seed
-	// small enough for the fuzzer to minimise quickly.
+	// run writes (header, replicate, point_done, seal) while keeping the
+	// seed small enough for the fuzzer to minimise quickly.
 	real := filepath.Join(f.TempDir(), "campaign.journal")
-	if _, err := runAll(New(Options{JournalPath: real, Workers: 2, SnapshotEvery: 1}), base, engine.SweepGrid{}, 2); err != nil {
+	if _, err := runAll(New(Options{JournalPath: real, Workers: 2}), base, engine.SweepGrid{}, 2); err != nil {
 		f.Fatal(err)
 	}
 	seed, err := os.ReadFile(real)
@@ -160,8 +163,10 @@ func FuzzJournalReplay(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
-	f.Add([]byte(frame(`{"t":"header","d":{"version":2,"fingerprint":"x","points":1,"runs":1,"seed":1}}`) +
-		frame(`{"t":"point_done","d":{"point":0,"mc":{"runs_used":1,"ci_half_width":0,"ci_half_width_inf":true}}}`)))
+	f.Add([]byte(frame(`{"t":"header","d":{"version":3,"fingerprint":"x","points":2,"runs":1,"seed":1}}`) +
+		frame(`{"t":"replicate","d":{"point":0,"run":0,"waste_ratio":0.25,"utilization":0.5,"failures":1}}`) +
+		frame(`{"t":"point_done","d":{"point":0,"mc":{"runs_used":1,"ci_half_width":0,"ci_half_width_inf":true}}}`) +
+		frame(`{"t":"replicate","d":{"point":1,"run":0,"waste_ratio":0.125,"utilization":0.75,"failures":0}}`)))
 
 	body := `{"t":"point_done","d":{"point":0,"mc":{"strategy":"torn","runs_used":1}}}`
 	bad := fmt.Sprintf("%08x %s\n", crc32.Checksum([]byte(body), crcTable)^1, body)

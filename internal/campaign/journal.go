@@ -2,9 +2,9 @@
 // it runs sweep campaigns with their progress journaled to an
 // append-only, CRC-framed, fsync-batched file, so a campaign killed by a
 // crash, OOM, or preemption resumes from the journal bit-identically to
-// an uninterrupted run — completed points are skipped, a point caught
-// mid-replication restarts at replicate Folded under the pinned CRN seed
-// schedule and folds into its restored accumulator state. On top of the
+// an uninterrupted run — completed points are skipped, and a point caught
+// mid-replication refolds its journaled replicate outcomes and continues
+// at the next replicate under the pinned CRN seed schedule. On top of the
 // journal it layers graceful degradation: worker panics are quarantined
 // as per-point errors, failed points retry under an exponential-backoff
 // policy with a per-point deadline, and repeatedly failing strategies
@@ -38,14 +38,16 @@ import (
 // discipline guaranteed durable. Reopening for append truncates the torn
 // tail so the journal stays a clean sequence of verified frames.
 //
-// Version 2 carries point_done aggregates in engine.MCResult's JSON form
-// and fingerprints the ordered per-point experiment specs; a version 1
-// journal is refused and its campaign must be re-run.
+// Version 3 journals one replicate record per folded replicate — the
+// fold's inputs, which a resume refolds — carries point_done aggregates
+// in engine.MCResult's JSON form and fingerprints the ordered per-point
+// experiment specs. Older journals are refused and their campaigns must
+// be re-run.
 const (
-	journalVersion = 2
+	journalVersion = 3
 
 	recHeader       = "header"
-	recSnap         = "snap"
+	recReplicate    = "replicate"
 	recPointDone    = "point_done"
 	recAttemptFail  = "attempt_failed"
 	recPointError   = "point_error"
@@ -77,9 +79,21 @@ type Header struct {
 	Seed uint64 `json:"seed"`
 }
 
-type snapRecord struct {
-	Point int               `json:"point"`
-	Snap  engine.MCSnapshot `json:"snap"`
+// replicateRecord is one folded replicate's outcome: exactly the values
+// the streaming fold consumes, so a resume refolds the point's journaled
+// prefix bit-identically.
+type replicateRecord struct {
+	Point       int     `json:"point"`
+	Run         int     `json:"run"`
+	WasteRatio  float64 `json:"waste_ratio"`
+	Utilization float64 `json:"utilization"`
+	Failures    int     `json:"failures"`
+}
+
+// result is the replicate's outcome as the fold reads it. A retry and a
+// crash-resume both refold these, so they see identical inputs.
+func (r replicateRecord) result() engine.Result {
+	return engine.Result{WasteRatio: r.WasteRatio, Utilization: r.Utilization, Failures: r.Failures}
 }
 
 // doneRecord carries a completed point's aggregates in engine.MCResult's
@@ -243,8 +257,8 @@ func (j *Journal) Seal() error {
 
 // Close flushes and syncs everything appended so far and closes the
 // file. An interrupted campaign Closes without Sealing: every record
-// already appended — completed points, the last mid-point snapshot — is
-// durable, and a later resume picks up from exactly there.
+// already appended — completed points, the in-flight point's replicates
+// — is durable, and a later resume picks up from exactly there.
 func (j *Journal) Close() error {
 	if j == nil {
 		return nil
@@ -264,8 +278,9 @@ func (j *Journal) Close() error {
 type PointState struct {
 	// Done holds the point's final aggregates when it completed.
 	Done *engine.MCResult
-	// Snap is the latest mid-point snapshot (partial progress).
-	Snap *engine.MCSnapshot
+	// Prefix holds the folded replicate outcomes of an unfinished point
+	// in run order (partial progress); a resume refolds them.
+	Prefix []engine.Result
 	// Attempts counts recorded failed attempts.
 	Attempts int
 	// Failed and Skipped record a quarantined PointError / a breaker
@@ -424,20 +439,23 @@ func (st *ReplayState) apply(rec envelope) error {
 		return p
 	}
 	switch rec.T {
-	case recSnap:
-		var r snapRecord
+	case recReplicate:
+		var r replicateRecord
 		if err := json.Unmarshal(rec.D, &r); err != nil {
-			return fmt.Errorf("campaign: journal snap: %w", err)
+			return fmt.Errorf("campaign: journal replicate: %w", err)
 		}
-		snap := r.Snap
-		point(r.Point).Snap = &snap
+		p := point(r.Point)
+		if r.Run != len(p.Prefix) {
+			return fmt.Errorf("campaign: journal point %d: replicate record for run %d, want run %d", r.Point, r.Run, len(p.Prefix))
+		}
+		p.Prefix = append(p.Prefix, r.result())
 	case recPointDone:
 		var r doneRecord
 		if err := json.Unmarshal(rec.D, &r); err != nil {
 			return fmt.Errorf("campaign: journal point_done: %w", err)
 		}
 		p := point(r.Point)
-		p.Done = &r.MC
+		p.Done, p.Prefix = &r.MC, nil
 		p.Failed, p.Skipped = false, false
 	case recAttemptFail:
 		var r failRecord

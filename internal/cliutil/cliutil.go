@@ -158,13 +158,9 @@ func InterruptContext() (context.Context, context.CancelFunc) {
 	return ctx, stop
 }
 
-// ExitInterrupted reports a cancelled campaign on stderr and exits with
-// the conventional SIGINT status. prog names the command, err is the
-// campaign error (typically wrapping context.Canceled). Any profiles
-// started with StartProfiles are flushed first, so an interrupted
-// campaign still yields a usable CPU/heap profile.
+// ExitInterrupted reports a cancelled campaign through Exit with the
+// conventional SIGINT status. prog names the command, err is the
+// campaign error (typically wrapping context.Canceled).
 func ExitInterrupted(prog string, err error) {
-	flushProfiles()
-	fmt.Fprintf(os.Stderr, "%s: interrupted (%v); partial output flushed\n", prog, err)
-	os.Exit(130)
+	Exit(prog, 130, fmt.Errorf("interrupted (%v); partial output flushed", err))
 }

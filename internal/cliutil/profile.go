@@ -11,9 +11,9 @@ import (
 )
 
 // profileStop is the active profile flusher, registered by StartProfiles
-// so ExitInterrupted can flush profiles on the SIGINT exit path too — a
-// profile of an interrupted campaign is usually exactly the one being
-// hunted.
+// so Exit can flush profiles on every error exit — including the SIGINT
+// path, whose profile of an interrupted campaign is usually exactly the
+// one being hunted.
 var (
 	profileMu   sync.Mutex
 	profileStop func()
@@ -23,7 +23,7 @@ var (
 // profile at memPath, either of which may be empty to skip it. The
 // returned stop function flushes both; it is idempotent, safe to both
 // defer and call on early-exit paths, and also runs automatically from
-// ExitInterrupted. Typical CLI use:
+// Exit and ExitInterrupted. Typical CLI use:
 //
 //	stop, err := cliutil.StartProfiles(*cpuprofile, *memprofile)
 //	if err != nil { ... }
@@ -68,6 +68,15 @@ func StartProfiles(cpuPath, memPath string) (stop func(), err error) {
 	profileStop = stop
 	profileMu.Unlock()
 	return stop, nil
+}
+
+// Exit flushes any profiles started with StartProfiles, reports err on
+// stderr as "prog: err" and exits with code: the one error exit of every
+// CLI, so a failing run still leaves a usable CPU/heap profile.
+func Exit(prog string, code int, err error) {
+	flushProfiles()
+	fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+	os.Exit(code)
 }
 
 // flushProfiles runs the registered profile stop function, if any.

@@ -147,8 +147,7 @@ func ExperimentKey(cfg Config, runs int, opts MCOptions) (string, bool) {
 // observer hooks such as Config.Trace do not enter it. keys[i] is point
 // i's ExperimentKey, or "" when the point is not cacheable.
 func ExperimentKeys(cfgs []Config, runs int, opts MCOptions) (id string, keys []string, err error) {
-	uncacheable := runs <= 0 || opts.OnResult != nil || opts.ciValue != nil ||
-		opts.resume != nil || opts.onSnapshot != nil
+	uncacheable := runs <= 0 || opts.OnResult != nil || opts.ciValue != nil || opts.prefix != nil
 	h := sha256.New()
 	keys = make([]string, len(cfgs))
 	for i, cfg := range cfgs {

@@ -252,8 +252,8 @@ func (s *Session) runGrid(ctx context.Context, pts []gridPoint, memo *sweepMemo,
 
 // setup validates point p, resolves it against the memo (an in-grid
 // duplicate or a cache hit finishes it without simulation), and otherwise
-// builds its fold — restored from the resume snapshot when there is one,
-// with dispatch starting at the snapshot's first unfolded run.
+// builds its fold — refolding the resume prefix when there is one, with
+// dispatch starting at the first run past it.
 func (g *gridSweep) setup(p int, gp gridPoint, keyOwner map[string]int) *gridPointState {
 	st := &gridPointState{cfg: gp.cfg, anti: gp.opts.Antithetic, dupOf: -1}
 	g.states[p] = st
@@ -295,8 +295,8 @@ func (g *gridSweep) setup(p int, gp gridPoint, keyOwner map[string]int) *gridPoi
 	st.fold = f
 	st.total = f.total
 	st.nextFold, st.cursor, st.foldedPub = f.folded, f.folded, f.folded
-	if st.nextFold == st.total {
-		// A resume snapshot that already folds the whole budget.
+	if st.nextFold == st.total || f.stopped {
+		// A resume prefix that already completes the experiment.
 		st.mc = f.finalize()
 		st.done = true
 		return st
@@ -305,26 +305,21 @@ func (g *gridSweep) setup(p int, gp gridPoint, keyOwner map[string]int) *gridPoi
 	return st
 }
 
-// newPointFold builds a point's fold, validating and applying its resume
-// snapshot. Snapshots are defined only on the streaming path.
+// newPointFold builds a point's fold, validating and refolding its resume
+// prefix. Resume is defined only on the streaming path.
 func newPointFold(gp gridPoint) (*mcFold, error) {
 	opts := gp.opts
-	materialising := opts.KeepResults || opts.KeepWasteRatios
-	if opts.resume != nil && materialising {
+	f := newMCFold(gp.cfg, gp.runs, opts)
+	if len(opts.prefix) == 0 {
+		return f, nil
+	}
+	if opts.KeepResults || opts.KeepWasteRatios {
 		return nil, fmt.Errorf("engine: resume requires the streaming path (no KeepResults/KeepWasteRatios)")
 	}
-	if opts.onSnapshot != nil && materialising {
-		return nil, fmt.Errorf("engine: snapshots require the streaming path (no KeepResults/KeepWasteRatios)")
+	if len(opts.prefix) > f.total {
+		return nil, fmt.Errorf("engine: resume prefix holds %d replicates, experiment has %d", len(opts.prefix), f.total)
 	}
-	f := newMCFold(gp.cfg, gp.runs, opts)
-	if rs := opts.resume; rs != nil {
-		if rs.Folded < 0 || rs.Folded > f.total {
-			return nil, fmt.Errorf("engine: resume snapshot folds %d replicates, experiment has %d", rs.Folded, f.total)
-		}
-		if err := f.restore(rs); err != nil {
-			return nil, err
-		}
-	}
+	f.refold(opts.prefix)
 	return f, nil
 }
 

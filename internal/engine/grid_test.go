@@ -32,8 +32,8 @@ func collectSweep(t *testing.T, s *Session, base Config, grid SweepGrid, runs in
 }
 
 // serialMonteCarlo is the serial reference the scheduler is pinned
-// against: one arena, run indices in ascending order from the resume
-// point, folded through newMCFold on the calling goroutine.
+// against: one arena, run indices in ascending order, folded through
+// newMCFold on the calling goroutine.
 func serialMonteCarlo(t *testing.T, cfg Config, runs int, opts MCOptions) MCResult {
 	t.Helper()
 	a, err := NewArena(cfg)
@@ -41,12 +41,7 @@ func serialMonteCarlo(t *testing.T, cfg Config, runs int, opts MCOptions) MCResu
 		t.Fatal(err)
 	}
 	f := newMCFold(cfg, runs, opts)
-	if opts.resume != nil {
-		if err := f.restore(opts.resume); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := f.folded; i < f.total; i++ {
+	for i := 0; i < f.total; i++ {
 		seed, anti := replicateDraw(cfg.Seed, i, opts.Antithetic)
 		r, err := a.RunAnti(seed, anti)
 		if err != nil {
@@ -129,9 +124,10 @@ func TestSweepGridBitIdentity(t *testing.T) {
 	}
 }
 
-// TestMonteCarloResumeGridBitIdentity: an experiment resumed from a
-// mid-point snapshot on the scheduler equals the uninterrupted serial
-// reference, in every Monte-Carlo mode and at every worker count.
+// TestMonteCarloResumeGridBitIdentity: an experiment resumed from the
+// first half of its run outcomes on the scheduler equals the
+// uninterrupted serial reference, in every Monte-Carlo mode and at every
+// worker count.
 func TestMonteCarloResumeGridBitIdentity(t *testing.T) {
 	ctx := context.Background()
 	for _, v := range bitIdentityVariants {
@@ -139,21 +135,20 @@ func TestMonteCarloResumeGridBitIdentity(t *testing.T) {
 			for _, strat := range []Strategy{OrderedNBDaly(), LeastWaste()} {
 				cfg := tinyConfig(strat, 13)
 				opts := NewSession(v.opts...).opts
-				want := serialMonteCarlo(t, cfg, v.runs, opts)
-				var snaps []MCSnapshot
-				snapOpts := opts
-				snapOpts.onSnapshot = func(s MCSnapshot) { snaps = append(snaps, s) }
-				serialMonteCarlo(t, cfg, v.runs, snapOpts)
-				mid := snaps[len(snaps)/2]
+				var outs []Result
+				outOpts := opts
+				outOpts.OnResult = func(_ int, r Result) { outs = append(outs, r) }
+				want := serialMonteCarlo(t, cfg, v.runs, outOpts)
+				mid := outs[:len(outs)/2]
 				for _, workers := range []int{1, 3, 7} {
 					s := NewSession(append([]SessionOption{WithWorkers(workers)}, v.opts...)...)
-					got, err := s.MonteCarloResume(ctx, cfg, v.runs, ResumeSpec{From: &mid})
+					got, err := s.MonteCarloResume(ctx, cfg, v.runs, mid)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s workers=%d resumed at %d: diverges from the serial reference\n got %+v\nwant %+v",
-							strat.Name(), workers, mid.Folded, got, want)
+							strat.Name(), workers, len(mid), got, want)
 					}
 				}
 			}

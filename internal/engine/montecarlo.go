@@ -161,15 +161,11 @@ type MCOptions struct {
 	// ComparePaired uses to stop on the paired difference against a
 	// reference series instead of the raw mean.
 	ciValue func(i int, wasteRatio float64) float64
-	// resume, when non-nil, restores the experiment from a snapshot and
-	// dispatches from run index resume.Folded (streaming path only) —
-	// the crash-resilience seam of Session.MonteCarloResume.
-	resume *MCSnapshot
-	// onSnapshot, when non-nil, receives the experiment state after
-	// every snapshotEvery-th folded replicate (<= 0: every replicate),
-	// on the caller's goroutine.
-	onSnapshot    func(MCSnapshot)
-	snapshotEvery int
+	// prefix holds the outcomes of runs 0..len(prefix)-1 of an
+	// interrupted experiment (streaming path only): they refold before
+	// dispatch starts at run len(prefix) — the crash-resilience seam of
+	// Session.MonteCarloResume.
+	prefix []Result
 }
 
 // TargetCI configures sequential stopping for a Monte-Carlo experiment:
@@ -269,20 +265,21 @@ func newMCFold(cfg Config, runs int, opts MCOptions) *mcFold {
 	return f
 }
 
-// restore rehydrates the fold from a snapshot: continuing from it is
-// bit-identical to never having been interrupted, because every fold past
-// this point sees the same accumulator state and the CRN schedule
-// reproduces replicates Folded..total-1 exactly.
-func (f *mcFold) restore(rs *MCSnapshot) error {
-	if err := f.acc.Restore(rs.Acc); err != nil {
-		return fmt.Errorf("engine: resume: %w", err)
+// refold replays the outcomes of runs 0..len(prefix)-1 through fold
+// without reporting them to OnResult again, finishing early when the
+// stopping rule fires inside the prefix. Continuing from here is
+// bit-identical to never having been interrupted: every later fold sees
+// the same accumulator state, and the CRN schedule reproduces the
+// remaining replicates exactly.
+func (f *mcFold) refold(prefix []Result) {
+	hook := f.opts.OnResult
+	f.opts.OnResult = nil
+	for i, r := range prefix {
+		if f.fold(i, r) {
+			break
+		}
 	}
-	if err := f.ciAcc.Restore(rs.CIAcc); err != nil {
-		return fmt.Errorf("engine: resume: %w", err)
-	}
-	f.util, f.fails, f.pairEven = rs.Util, rs.Fails, rs.PairEven
-	f.folded = rs.Folded
-	return nil
+	f.opts.OnResult = hook
 }
 
 // fold incorporates run i's result and reports whether the sequential
@@ -317,22 +314,6 @@ func (f *mcFold) fold(i int, r Result) (stop bool) {
 	}
 	if f.progress != nil {
 		f.progress()
-	}
-	if f.opts.onSnapshot != nil {
-		every := f.opts.snapshotEvery
-		if every <= 0 {
-			every = 1
-		}
-		if f.folded%every == 0 {
-			f.opts.onSnapshot(MCSnapshot{
-				Folded:   f.folded,
-				Util:     f.util,
-				Fails:    f.fails,
-				PairEven: f.pairEven,
-				Acc:      f.acc.State(),
-				CIAcc:    f.ciAcc.State(),
-			})
-		}
 	}
 	if f.seqOn && f.folded >= f.minRuns && f.folded < f.total &&
 		(!f.opts.Antithetic || f.folded%2 == 0) &&

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"runtime"
 	"strings"
@@ -81,84 +80,96 @@ func TestWorkerHangHonoursDeadline(t *testing.T) {
 	checkNoGoroutineLeak(t, before)
 }
 
-// TestMonteCarloResumeBitIdentity pins the resume contract at every cut
-// point: run the experiment uninterrupted; then, for each replicate
-// boundary k, replay the snapshot taken at k (through a JSON round trip,
-// as the campaign journal stores it) into a fresh session and run the
-// remaining replicates. Every aggregate of the resumed result must equal
-// the uninterrupted one bit for bit.
-func TestMonteCarloResumeBitIdentity(t *testing.T) {
-	ctx := context.Background()
-	cfg := tinyConfig(LeastWaste(), 5)
-	const runs = 24
-
-	var snaps []MCSnapshot
-	full, err := NewSession(WithWorkers(3)).MonteCarloResume(ctx, cfg, runs, ResumeSpec{
-		OnSnapshot: func(s MCSnapshot) { snaps = append(snaps, s) },
-	})
+// outcomes runs the experiment uninterrupted and returns its result
+// together with every folded run's outcome, trimmed to the three values
+// the campaign journal records per replicate.
+func outcomes(t *testing.T, cfg Config, runs int, opts ...SessionOption) (MCResult, []Result) {
+	t.Helper()
+	var outs []Result
+	s := NewSession(append(opts, WithOnResult(func(_ int, r Result) {
+		outs = append(outs, Result{WasteRatio: r.WasteRatio, Utilization: r.Utilization, Failures: r.Failures})
+	}))...)
+	full, err := s.MonteCarlo(context.Background(), cfg, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) != runs {
-		t.Fatalf("got %d snapshots, want one per replicate (%d)", len(snaps), runs)
+	return full, outs
+}
+
+// resumeFrom resumes the experiment from prefix on a fresh session and
+// checks that the refolded prefix reaches neither the OnResult hook nor
+// progress again: both observe only runs len(prefix) onwards.
+func resumeFrom(t *testing.T, cfg Config, runs int, prefix []Result, opts ...SessionOption) MCResult {
+	t.Helper()
+	next := len(prefix)
+	s := NewSession(append(opts,
+		WithOnResult(func(i int, _ Result) {
+			if i != next {
+				t.Fatalf("resume at %d: OnResult saw run %d, want %d", len(prefix), i, next)
+			}
+			next++
+		}),
+		WithProgress(func(done, _ int) {
+			if done != next {
+				t.Fatalf("resume at %d: progress %d after run %d", len(prefix), done, next-1)
+			}
+		}))...)
+	got, err := s.MonteCarloResume(context.Background(), cfg, runs, prefix)
+	if err != nil {
+		t.Fatalf("resume at %d: %v", len(prefix), err)
 	}
-	for _, snap := range snaps {
-		blob, err := json.Marshal(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var restored MCSnapshot
-		if err := json.Unmarshal(blob, &restored); err != nil {
-			t.Fatal(err)
-		}
-		got, err := NewSession(WithWorkers(2)).MonteCarloResume(ctx, cfg, runs, ResumeSpec{From: &restored})
-		if err != nil {
-			t.Fatalf("resume at %d: %v", snap.Folded, err)
-		}
+	if next != got.RunsUsed {
+		t.Fatalf("resume at %d: OnResult reached run %d, RunsUsed %d", len(prefix), next, got.RunsUsed)
+	}
+	return got
+}
+
+// TestMonteCarloResumeBitIdentity pins the resume contract at every cut
+// point: run the experiment uninterrupted; then, for every prefix length
+// k, refold the first k journaled outcomes into a fresh session and run
+// the remaining replicates. Every aggregate of the resumed result must
+// equal the uninterrupted one bit for bit.
+func TestMonteCarloResumeBitIdentity(t *testing.T) {
+	cfg := tinyConfig(LeastWaste(), 5)
+	const runs = 24
+	full, outs := outcomes(t, cfg, runs, WithWorkers(3))
+	if len(outs) != runs {
+		t.Fatalf("got %d outcomes, want one per replicate (%d)", len(outs), runs)
+	}
+	for k := 0; k <= runs; k++ {
+		got := resumeFrom(t, cfg, runs, outs[:k], WithWorkers(2))
 		if got.Summary != full.Summary ||
 			got.MeanUtilization != full.MeanUtilization ||
 			got.MeanFailures != full.MeanFailures ||
 			got.RunsUsed != full.RunsUsed ||
 			got.CIHalfWidth != full.CIHalfWidth {
 			t.Fatalf("resume at %d diverges:\n got %+v (util %v fails %v ci %v)\nwant %+v (util %v fails %v ci %v)",
-				snap.Folded, got.Summary, got.MeanUtilization, got.MeanFailures, got.CIHalfWidth,
+				k, got.Summary, got.MeanUtilization, got.MeanFailures, got.CIHalfWidth,
 				full.Summary, full.MeanUtilization, full.MeanFailures, full.CIHalfWidth)
 		}
 	}
 }
 
 // TestMonteCarloResumeAntithetic: resume across antithetic pair
-// boundaries — including mid-pair, where the snapshot carries the even
-// member awaiting its twin — stays bit-identical.
+// boundaries — including odd, mid-pair prefixes, whose last outcome is
+// the even member awaiting its twin — stays bit-identical.
 func TestMonteCarloResumeAntithetic(t *testing.T) {
-	ctx := context.Background()
 	cfg := tinyConfig(OrderedNBDaly(), 9)
 	const runs = 16
-
-	var snaps []MCSnapshot
-	s := NewSession(WithWorkers(2), WithAntithetic(true))
-	full, err := s.MonteCarloResume(ctx, cfg, runs, ResumeSpec{
-		OnSnapshot: func(s MCSnapshot) { snaps = append(snaps, s) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, snap := range snaps {
-		snap := snap
-		got, err := NewSession(WithWorkers(3), WithAntithetic(true)).
-			MonteCarloResume(ctx, cfg, runs, ResumeSpec{From: &snap})
-		if err != nil {
-			t.Fatalf("resume at %d: %v", snap.Folded, err)
-		}
+	full, outs := outcomes(t, cfg, runs, WithWorkers(2), WithAntithetic(true))
+	for k := 0; k <= runs; k++ {
+		got := resumeFrom(t, cfg, runs, outs[:k], WithWorkers(3), WithAntithetic(true))
 		if got.Summary != full.Summary || got.CIHalfWidth != full.CIHalfWidth {
-			t.Fatalf("antithetic resume at %d diverges", snap.Folded)
+			t.Fatalf("antithetic resume at %d diverges", k)
 		}
 	}
 }
 
 // TestMonteCarloResumeSequentialStopping: a sequentially stopped
-// experiment resumed from a snapshot stops at the same replicate with
-// the same interval as the uninterrupted run.
+// experiment resumed from any prefix stops at the same replicate with
+// the same interval as the uninterrupted run — including the prefix that
+// ends at the stopping replicate itself, which must finish there rather
+// than run one replicate past the stop.
 func TestMonteCarloResumeSequentialStopping(t *testing.T) {
 	ctx := context.Background()
 	cfg := tinyConfig(OrderedNBDaly(), 2)
@@ -171,71 +182,49 @@ func TestMonteCarloResumeSequentialStopping(t *testing.T) {
 	// A target a bit looser than the 16-run interval stops between
 	// minRuns and maxRuns.
 	target := probe.CIHalfWidth * 1.2
-	mk := func() *Session {
-		return NewSession(WithWorkers(2), WithTargetCI(target, 0.95, 8, maxRuns))
-	}
-	var snaps []MCSnapshot
-	full, err := mk().MonteCarloResume(ctx, cfg, maxRuns, ResumeSpec{
-		OnSnapshot: func(s MCSnapshot) { snaps = append(snaps, s) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stopping := []SessionOption{WithWorkers(2), WithTargetCI(target, 0.95, 8, maxRuns)}
+	full, outs := outcomes(t, cfg, maxRuns, stopping...)
 	if full.RunsUsed >= maxRuns || full.RunsUsed < 8 {
 		t.Fatalf("stopping did not engage (RunsUsed %d)", full.RunsUsed)
 	}
-	cut := full.RunsUsed / 2
-	snap := snaps[cut-1]
-	got, err := mk().MonteCarloResume(ctx, cfg, maxRuns, ResumeSpec{From: &snap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.RunsUsed != full.RunsUsed || got.Summary != full.Summary || got.CIHalfWidth != full.CIHalfWidth {
-		t.Fatalf("resumed sequential stop: runs %d ci %v, want runs %d ci %v",
-			got.RunsUsed, got.CIHalfWidth, full.RunsUsed, full.CIHalfWidth)
+	for k := 1; k <= full.RunsUsed; k++ {
+		got := resumeFrom(t, cfg, maxRuns, outs[:k], stopping...)
+		if got.RunsUsed != full.RunsUsed || got.Summary != full.Summary || got.CIHalfWidth != full.CIHalfWidth {
+			t.Fatalf("resume at %d: runs %d ci %v, want runs %d ci %v",
+				k, got.RunsUsed, got.CIHalfWidth, full.RunsUsed, full.CIHalfWidth)
+		}
 	}
 }
 
-// TestResumeRequiresStreamingPath: snapshots and resume are defined only
-// on the O(1)-memory path.
+// TestResumeRequiresStreamingPath: resume is defined only on the
+// O(1)-memory path, and never past the experiment's budget.
 func TestResumeRequiresStreamingPath(t *testing.T) {
 	ctx := context.Background()
 	cfg := tinyConfig(OrderedNBDaly(), 1)
-	snap := &MCSnapshot{}
-	_, err := NewSession(WithKeepWasteRatios(true)).MonteCarloResume(ctx, cfg, 4, ResumeSpec{From: snap})
-	if err == nil || !strings.Contains(err.Error(), "streaming path") {
-		t.Fatalf("materialising resume accepted (err %v)", err)
+	prefix := make([]Result, 2)
+	for _, opt := range []SessionOption{WithKeepWasteRatios(true), WithKeepResults(true)} {
+		_, err := NewSession(opt).MonteCarloResume(ctx, cfg, 4, prefix)
+		if err == nil || !strings.Contains(err.Error(), "streaming path") {
+			t.Fatalf("materialising resume accepted (err %v)", err)
+		}
 	}
-	_, err = NewSession(WithKeepResults(true)).MonteCarloResume(ctx, cfg, 4, ResumeSpec{
-		OnSnapshot: func(MCSnapshot) {},
-	})
-	if err == nil || !strings.Contains(err.Error(), "streaming path") {
-		t.Fatalf("materialising snapshots accepted (err %v)", err)
-	}
-	_, err = NewSession().MonteCarloResume(ctx, cfg, 4, ResumeSpec{From: &MCSnapshot{Folded: 9}})
-	if err == nil || !strings.Contains(err.Error(), "folds") {
-		t.Fatalf("overlong snapshot accepted (err %v)", err)
+	_, err := NewSession().MonteCarloResume(ctx, cfg, 4, make([]Result, 9))
+	if err == nil || !strings.Contains(err.Error(), "holds 9 replicates") {
+		t.Fatalf("overlong prefix accepted (err %v)", err)
 	}
 }
 
-// TestMonteCarloResumeComplete: a snapshot that already folds every
+// TestMonteCarloResumeComplete: a prefix that already holds every
 // replicate yields the finished result without dispatching any work.
 func TestMonteCarloResumeComplete(t *testing.T) {
-	ctx := context.Background()
 	cfg := tinyConfig(OrderedNBDaly(), 4)
 	const runs = 8
-	var last MCSnapshot
-	full, err := NewSession(WithWorkers(2)).MonteCarloResume(ctx, cfg, runs, ResumeSpec{
-		OnSnapshot: func(s MCSnapshot) { last = s },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewSession(WithWorkers(2)).MonteCarloResume(ctx, cfg, runs, ResumeSpec{From: &last})
-	if err != nil {
-		t.Fatal(err)
-	}
+	full, outs := outcomes(t, cfg, runs, WithWorkers(2))
+	restore := faultinject.Set(faultinject.SiteWorkerReplicate,
+		faultinject.PanicOn("complete resume simulated", func(any) bool { return true }))
+	defer restore()
+	got := resumeFrom(t, cfg, runs, outs, WithWorkers(2))
 	if got.Summary != full.Summary || got.RunsUsed != runs {
-		t.Fatalf("complete-snapshot resume diverges: %+v vs %+v", got.Summary, full.Summary)
+		t.Fatalf("complete-prefix resume diverges: %+v vs %+v", got.Summary, full.Summary)
 	}
 }

@@ -38,7 +38,7 @@ func TestBootWithV1Journal(t *testing.T) {
 
 	_, ts := newTestServer(t, Options{DataDir: dataDir})
 	_, end := readStream(t, ts, id, 0)
-	if end.State != StateFailed || !strings.Contains(end.Error, "journal version 1, this build reads 2") {
+	if end.State != StateFailed || !strings.Contains(end.Error, "journal version 1, this build reads 3") {
 		t.Fatalf("v1 campaign ended %+v, want failed with the version error", end)
 	}
 

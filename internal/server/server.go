@@ -380,16 +380,7 @@ func (s *Server) info(r *run) api.CampaignInfo {
 		Runs:        r.res.Runs,
 		Points:      r.points,
 		Results:     len(r.results),
-		Progress: api.Progress{
-			PointsDone:       p.PointsDone,
-			PointsFailed:     p.PointsFailed,
-			PointsSkipped:    p.PointsSkipped,
-			PointsRestored:   p.PointsRestored,
-			PointsTotal:      p.PointsTotal,
-			ReplicatesFolded: p.ReplicatesFolded,
-			ReplicatesTotal:  p.ReplicatesTotal,
-			CacheHits:        p.CacheHits,
-		},
+		Progress:    p,
 	}
 	if info.Progress.PointsTotal == 0 {
 		info.Progress.PointsTotal = r.points

@@ -180,7 +180,7 @@ type (
 	// Campaign is the durable sweep driver built by NewCampaign.
 	Campaign = campaign.Campaign
 	// CampaignOptions configures a Campaign: journal path and resume,
-	// snapshot/fsync cadence, retry policy, and the session-level knobs
+	// fsync cadence, retry policy, and the session-level knobs
 	// (workers, antithetic pairing, sequential stopping, progress).
 	CampaignOptions = campaign.Options
 	// RetryPolicy is the per-point failure-handling policy: attempt
@@ -203,12 +203,6 @@ type (
 	JournalState = campaign.ReplayState
 	// JournalPointState is one point's replayed journal state.
 	JournalPointState = campaign.PointState
-	// MCSnapshot is a resumable mid-experiment Monte-Carlo state: the
-	// exact accumulator bits after folding replicates [0, Folded).
-	MCSnapshot = engine.MCSnapshot
-	// ResumeSpec parameterises Session.MonteCarloResume: the snapshot to
-	// resume from and the cadence at which new snapshots are observed.
-	ResumeSpec = engine.ResumeSpec
 	// PanicError wraps a recovered simulation-worker panic with its
 	// stack; campaign quarantines it, bare Session methods return it.
 	PanicError = engine.PanicError
