@@ -64,7 +64,7 @@ func BenchmarkTable1WorkloadGeneration(b *testing.B) {
 func BenchmarkFigure1WasteVsBandwidth(b *testing.B) {
 	for _, bw := range []float64{40, 100, 160} {
 		b.Run(fmt.Sprintf("bw=%vGBps", bw), func(b *testing.B) {
-			session := repro.NewSession(repro.WithKeepWasteRatios(true))
+			session := repro.NewSession()
 			for i := 0; i < b.N; i++ {
 				base := benchConfig(repro.Cielo(bw, 2), repro.Strategy{})
 				if _, err := session.Compare(context.Background(), base, repro.LegendStrategies(), benchRuns); err != nil {
@@ -80,7 +80,7 @@ func BenchmarkFigure1WasteVsBandwidth(b *testing.B) {
 func BenchmarkFigure2WasteVsMTBF(b *testing.B) {
 	for _, years := range []float64{2, 10, 50} {
 		b.Run(fmt.Sprintf("mtbf=%vy", years), func(b *testing.B) {
-			session := repro.NewSession(repro.WithKeepWasteRatios(true))
+			session := repro.NewSession()
 			for i := 0; i < b.N; i++ {
 				base := benchConfig(repro.Cielo(40, years), repro.Strategy{})
 				if _, err := session.Compare(context.Background(), base, repro.LegendStrategies(), benchRuns); err != nil {
@@ -365,9 +365,10 @@ func BenchmarkCompareCRN(b *testing.B) {
 	}
 }
 
-// BenchmarkMonteCarloStream measures the O(1)-memory replication path:
-// the per-run cost of a streamed Monte-Carlo experiment, allocations
-// included (the batch path would grow with b.N; this one must not).
+// BenchmarkMonteCarloStream measures the replication path that retains
+// no per-run Results: the per-run cost of a Monte-Carlo experiment,
+// allocations included (8 bytes of waste ratio per run, where the
+// KeepResults path would hold a whole Result).
 func BenchmarkMonteCarloStream(b *testing.B) {
 	cfg := benchConfig(repro.Cielo(40, 2), repro.OrderedNBDaly())
 	b.ReportAllocs()

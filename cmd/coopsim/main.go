@@ -10,9 +10,9 @@
 // and SIGINT cancels the campaign gracefully — in-flight workers drain,
 // the rows already printed stay flushed, and the command exits non-zero.
 //
-// Monte-Carlo replication streams through the engine's O(1)-memory path
-// unless -breakdown needs the per-run details, so -runs scales to paper
-// sizes and beyond without memory growth.
+// Monte-Carlo replication keeps only each run's waste ratio (8 bytes per
+// run, for the exact candlesticks) unless -breakdown needs the per-run
+// details, so -runs scales to paper sizes and beyond.
 //
 // Examples:
 //
@@ -234,10 +234,9 @@ func main() {
 
 	if campaignFlags.Enabled() || *ndjson {
 		// The campaign layer owns its streaming session (the path whose
-		// replicate outcomes can be refolded), so the exact-candlestick and
-		// per-run-detail options are out: quantiles beyond 64 runs are
-		// online P² estimates, and -breakdown/-paired need per-run data
-		// the journal never stores.
+		// replicate outcomes can be refolded). Its candlesticks are the
+		// same exact values the plain path prints, but -breakdown and
+		// -paired need per-run data the journal never stores.
 		if *breakdown || *paired {
 			cliutil.Exit("coopsim", 2, errors.New("-journal/-resume/-retry/-point-timeout run the streaming campaign path; -breakdown and -paired are not supported there"))
 		}
@@ -259,11 +258,9 @@ func main() {
 		return
 	}
 
-	// Exact candlesticks need only the waste ratios; the per-run
-	// Result structs are materialised solely for -breakdown.
+	// The per-run Result structs are materialised solely for -breakdown.
 	sopts := []repro.SessionOption{
 		repro.WithWorkers(*workers),
-		repro.WithKeepWasteRatios(true),
 		repro.WithKeepResults(*breakdown),
 		repro.WithAntithetic(*antithetic),
 		repro.WithTargetCI(tci.HalfWidth, tci.Confidence, tci.MinRuns, tci.MaxRuns),

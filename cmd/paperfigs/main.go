@@ -115,12 +115,11 @@ func main() {
 	defer cancel()
 	// One session serves the whole campaign: every figure's grid
 	// reconfigures the same warm per-worker arenas. Exact candlesticks
-	// need only the waste ratios; paper-scale -runs never materialises
+	// need only the waste ratios, so paper-scale -runs never materialises
 	// per-run Result structs. A -target-ci lets each sweep point (and
 	// each fig3 bisection probe) stop as soon as its mean is resolved.
 	sopts := []repro.SessionOption{
 		repro.WithWorkers(opts.workers),
-		repro.WithKeepWasteRatios(true),
 		repro.WithAntithetic(antithetic),
 		repro.WithTargetCI(tci.HalfWidth, tci.Confidence, tci.MinRuns, tci.MaxRuns),
 	}

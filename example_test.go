@@ -13,7 +13,7 @@ import (
 // abort either at the next replicate boundary.
 func ExampleNewSession() {
 	ctx := context.Background()
-	session := repro.NewSession(repro.WithKeepWasteRatios(true))
+	session := repro.NewSession()
 	cfg := repro.Config{
 		Platform:    repro.Cielo(40, 2),
 		Classes:     repro.APEXClasses(),

@@ -20,7 +20,7 @@ func main() {
 	ctx := context.Background()
 	// One session serves every tier: its worker arenas are reconfigured
 	// per scenario instead of rebuilt.
-	session := repro.NewSession(repro.WithKeepResults(true), repro.WithKeepWasteRatios(true))
+	session := repro.NewSession(repro.WithKeepResults(true))
 	for _, scenario := range []struct {
 		label     string
 		bwGBps    float64

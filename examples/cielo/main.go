@@ -20,7 +20,6 @@ func main() {
 	ctx := context.Background()
 	session := repro.NewSession(
 		repro.WithKeepResults(true), // breakdown() reads per-run results
-		repro.WithKeepWasteRatios(true),
 	)
 	for _, bwGBps := range []float64{40, 160} {
 		p := repro.Cielo(bwGBps, 2)

@@ -142,8 +142,8 @@ type TargetCI struct {
 
 // MCOptions carries the replication options a campaign submission may
 // set: sequential stopping and antithetic variates. The materialisation
-// knobs (KeepResults etc.) are intentionally absent — the service always
-// streams through the O(1)-memory path.
+// knob KeepResults is intentionally absent — per-run Results never
+// cross the wire.
 type MCOptions struct {
 	TargetCI   *TargetCI `json:"target_ci,omitempty"`
 	Antithetic bool      `json:"antithetic,omitempty"`
@@ -586,12 +586,12 @@ func FromGrid(g engine.SweepGrid) (SweepGrid, error) {
 // engine's one JSON form (see engine.MCResult.MarshalJSON): the scalar
 // aggregates and the candlestick summary, with the +Inf half-width below
 // two estimator observations carried by ci_half_width_inf. The per-run
-// materialisations (WasteRatios, Results) never cross the wire.
+// Results never cross the wire.
 type MCResult struct{ engine.MCResult }
 
 // FromMCResult encodes the streamable fields of an engine result.
 func FromMCResult(mc engine.MCResult) MCResult {
-	mc.WasteRatios, mc.Results = nil, nil
+	mc.Results = nil
 	return MCResult{mc}
 }
 

@@ -203,7 +203,7 @@ func TestStreamFrameBytesPinned(t *testing.T) {
 		Summary: stats.Summary{N: 4, Mean: 0.25, Min: 0.125, Max: 0.5,
 			P10: 0.125, P25: 0.1875, P50: 0.25, P75: 0.3125, P90: 0.5, StdDev: 0.1},
 		// Per-run materialisations never cross the wire.
-		WasteRatios: []float64{0.1},
+		Results: []engine.Result{{WasteRatio: 0.1}},
 	}
 	inf := engine.MCResult{
 		Strategy: "Ordered-Daly", RunsUsed: 1, CIHalfWidth: math.Inf(1), Confidence: 0.95,
@@ -233,7 +233,7 @@ func TestStreamFrameBytesPinned(t *testing.T) {
 		if err := json.Unmarshal(got, &back); err != nil {
 			t.Fatal(err)
 		}
-		if out := back.Point.MC.Engine(); out.CIHalfWidth != tc.mc.CIHalfWidth || out.Summary != tc.mc.Summary || out.WasteRatios != nil {
+		if out := back.Point.MC.Engine(); out.CIHalfWidth != tc.mc.CIHalfWidth || out.Summary != tc.mc.Summary || out.Results != nil {
 			t.Errorf("%s frame did not decode back: %+v", tc.mc.Strategy, out)
 		}
 	}

@@ -239,9 +239,9 @@ func (c *Campaign) note(f func(*Progress)) {
 	c.progMu.Unlock()
 }
 
-// New returns a campaign runner. The underlying session uses the
-// streaming aggregation path — the one whose replicate outcomes can be
-// refolded on resume.
+// New returns a campaign runner. The underlying session retains no
+// per-run Results: it streams each replicate's outcome to the journal,
+// from which a resume refolds it.
 func New(opts Options) *Campaign {
 	c := &Campaign{opts: opts}
 	sopts := []engine.SessionOption{

@@ -156,7 +156,7 @@ func TestSweepMatchesPointwiseMonteCarlo(t *testing.T) {
 		Strategies:    []Strategy{OrderedNBDaly(), LeastWaste()},
 	}
 	const runs = 3
-	pts, got := collectSweep(t, NewSession(WithWorkers(2), WithKeepWasteRatios(true)), base, grid, runs)
+	pts, got := collectSweep(t, NewSession(WithWorkers(2), WithKeepResults(true)), base, grid, runs)
 	if len(got) != 4 {
 		t.Fatalf("sweep delivered %d points, want 4", len(got))
 	}
@@ -168,7 +168,7 @@ func TestSweepMatchesPointwiseMonteCarlo(t *testing.T) {
 		cfg.Platform.BandwidthBps = pt.BandwidthBps
 		cfg.Platform.NodeMTBFSeconds = pt.NodeMTBFSeconds
 		cfg.Strategy = pt.Strategy
-		want, err := sessionMC(cfg, runs, WithWorkers(2), WithKeepWasteRatios(true))
+		want, err := sessionMC(cfg, runs, WithWorkers(2), WithKeepResults(true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestSweepChannelAxis(t *testing.T) {
 		Strategies: []Strategy{OrderedNBDaly(), LeastWaste()},
 	}
 	const runs = 2
-	pts, got := collectSweep(t, NewSession(WithWorkers(2), WithKeepWasteRatios(true)), base, grid, runs)
+	pts, got := collectSweep(t, NewSession(WithWorkers(2), WithKeepResults(true)), base, grid, runs)
 	if len(pts) != 4 {
 		t.Fatalf("sweep delivered %d points, want 4", len(pts))
 	}
@@ -202,7 +202,7 @@ func TestSweepChannelAxis(t *testing.T) {
 		cfg := base
 		cfg.Channels = pt.Channels
 		cfg.Strategy = pt.Strategy
-		want, err := sessionMC(cfg, runs, WithWorkers(2), WithKeepWasteRatios(true))
+		want, err := sessionMC(cfg, runs, WithWorkers(2), WithKeepResults(true))
 		if err != nil {
 			t.Fatal(err)
 		}

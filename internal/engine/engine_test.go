@@ -390,11 +390,11 @@ func TestConfigValidation(t *testing.T) {
 
 func TestMonteCarlo(t *testing.T) {
 	cfg := tinyConfig(OrderedNBDaly(), 41)
-	mc, err := sessionMC(cfg, 6, WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true))
+	mc, err := sessionMC(cfg, 6, WithWorkers(2), WithKeepResults(true))
 	if err != nil {
 		t.Fatalf("MonteCarlo: %v", err)
 	}
-	if mc.Summary.N != 6 || len(mc.WasteRatios) != 6 {
+	if mc.Summary.N != 6 || len(mc.Results) != 6 {
 		t.Fatalf("summary over %d runs, want 6", mc.Summary.N)
 	}
 	if mc.Summary.Mean <= 0 || mc.Summary.Mean >= 1 {
@@ -402,13 +402,13 @@ func TestMonteCarlo(t *testing.T) {
 	}
 	// Replication must be deterministic and prefix-stable: run i is the
 	// same regardless of total run count.
-	mc2, err := sessionMC(cfg, 3, WithWorkers(1), WithKeepResults(true), WithKeepWasteRatios(true))
+	mc2, err := sessionMC(cfg, 3, WithWorkers(1), WithKeepResults(true))
 	if err != nil {
 		t.Fatalf("MonteCarlo: %v", err)
 	}
 	for i := 0; i < 3; i++ {
-		if mc.WasteRatios[i] != mc2.WasteRatios[i] {
-			t.Fatalf("run %d not prefix-stable: %v vs %v", i, mc.WasteRatios[i], mc2.WasteRatios[i])
+		if mc.Results[i].WasteRatio != mc2.Results[i].WasteRatio {
+			t.Fatalf("run %d not prefix-stable: %v vs %v", i, mc.Results[i].WasteRatio, mc2.Results[i].WasteRatio)
 		}
 	}
 	if _, err := sessionMC(cfg, 0, WithWorkers(1)); err == nil {
@@ -419,7 +419,7 @@ func TestMonteCarlo(t *testing.T) {
 func TestCompareStrategies(t *testing.T) {
 	cfg := tinyConfig(OrderedDaly(), 43)
 	strats := []Strategy{ObliviousDaly(), LeastWaste()}
-	out, err := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true)).Compare(context.Background(), cfg, strats, 3)
+	out, err := NewSession(WithWorkers(2), WithKeepResults(true)).Compare(context.Background(), cfg, strats, 3)
 	if err != nil {
 		t.Fatalf("Compare: %v", err)
 	}

@@ -67,10 +67,9 @@ type experimentSpec struct {
 	// TargetCI is the resolved stopping rule; MaxRuns is folded into Runs
 	// and zeroed here, and a disabled rule keeps only its Confidence
 	// (which still selects the reported CIHalfWidth level).
-	TargetCI        TargetCI
-	Antithetic      bool
-	KeepResults     bool
-	KeepWasteRatios bool
+	TargetCI    TargetCI
+	Antithetic  bool
+	KeepResults bool
 }
 
 // newExperimentSpec resolves (cfg, runs, opts) to its canonical spec —
@@ -115,7 +114,6 @@ func newExperimentSpec(cfg Config, runs int, opts MCOptions) (experimentSpec, er
 		TargetCI:           seq,
 		Antithetic:         opts.Antithetic,
 		KeepResults:        opts.KeepResults,
-		KeepWasteRatios:    opts.KeepWasteRatios,
 	}
 	if !c.Strategy.Discipline.UsesToken() {
 		spec.Channels = 1
@@ -168,10 +166,9 @@ func ExperimentKeys(cfgs []Config, runs int, opts MCOptions) (id string, keys []
 	return hex.EncodeToString(h.Sum(nil)), keys, nil
 }
 
-// cloneMCResult deep-copies the slice-valued fields so a memoised result
-// handed out twice cannot alias mutations between consumers.
+// cloneMCResult deep-copies Results so a memoised result handed out twice
+// cannot alias mutations between consumers.
 func cloneMCResult(mc MCResult) MCResult {
-	mc.WasteRatios = slices.Clone(mc.WasteRatios)
 	mc.Results = slices.Clone(mc.Results)
 	return mc
 }

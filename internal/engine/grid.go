@@ -306,15 +306,16 @@ func (g *gridSweep) setup(p int, gp gridPoint, keyOwner map[string]int) *gridPoi
 }
 
 // newPointFold builds a point's fold, validating and refolding its resume
-// prefix. Resume is defined only on the streaming path.
+// prefix. Resume cannot restore per-run Results, so it refuses
+// KeepResults.
 func newPointFold(gp gridPoint) (*mcFold, error) {
 	opts := gp.opts
 	f := newMCFold(gp.cfg, gp.runs, opts)
 	if len(opts.prefix) == 0 {
 		return f, nil
 	}
-	if opts.KeepResults || opts.KeepWasteRatios {
-		return nil, fmt.Errorf("engine: resume requires the streaming path (no KeepResults/KeepWasteRatios)")
+	if opts.KeepResults {
+		return nil, fmt.Errorf("engine: resume requires the streaming path (no KeepResults)")
 	}
 	if len(opts.prefix) > f.total {
 		return nil, fmt.Errorf("engine: resume prefix holds %d replicates, experiment has %d", len(opts.prefix), f.total)

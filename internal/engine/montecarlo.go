@@ -19,13 +19,9 @@ import (
 // system over each element of this set for each strategy").
 type MCResult struct {
 	Strategy string
-	// WasteRatios holds each run's waste ratio, in run order (nil unless
-	// MCOptions.KeepWasteRatios).
-	WasteRatios []float64
 	// Summary is the candlestick statistic of the waste ratios (mean,
-	// deciles, quartiles). With KeepWasteRatios it is the exact sorted
-	// statistic; on the fully streaming path the quantiles are online P²
-	// estimates while N, mean, min and max stay exact.
+	// deciles, quartiles, extremes), computed exactly over every folded
+	// run by stats.Summarize.
 	Summary stats.Summary
 	// MeanUtilization and MeanFailures summarise secondary outputs.
 	MeanUtilization float64
@@ -57,8 +53,8 @@ type MCResult struct {
 // frames, the campaign journal and the result cache's disk tier. JSON
 // cannot carry the +Inf half-width below two estimator observations, so
 // it travels as ci_half_width 0 plus ci_half_width_inf. The per-run
-// materialisations follow only when present (pointers keep an empty
-// non-nil slice distinct from an absent one).
+// Results follow only when present (a pointer keeps an empty non-nil
+// slice distinct from an absent one).
 type mcResultJSON struct {
 	Strategy        string        `json:"strategy"`
 	Summary         stats.Summary `json:"summary"`
@@ -69,7 +65,6 @@ type mcResultJSON struct {
 	CIHalfWidthInf  bool          `json:"ci_half_width_inf,omitempty"`
 	Confidence      float64       `json:"confidence"`
 	Cached          bool          `json:"cached,omitempty"`
-	WasteRatios     *[]float64    `json:"waste_ratios,omitempty"`
 	Results         *[]Result     `json:"results,omitempty"`
 }
 
@@ -87,9 +82,6 @@ func (mc MCResult) MarshalJSON() ([]byte, error) {
 	}
 	if math.IsInf(mc.CIHalfWidth, 1) {
 		j.CIHalfWidth, j.CIHalfWidthInf = 0, true
-	}
-	if mc.WasteRatios != nil {
-		j.WasteRatios = &mc.WasteRatios
 	}
 	if mc.Results != nil {
 		j.Results = &mc.Results
@@ -116,28 +108,21 @@ func (mc *MCResult) UnmarshalJSON(b []byte) error {
 	if j.CIHalfWidthInf {
 		mc.CIHalfWidth = math.Inf(1)
 	}
-	if j.WasteRatios != nil {
-		mc.WasteRatios = *j.WasteRatios
-	}
 	if j.Results != nil {
 		mc.Results = *j.Results
 	}
 	return nil
 }
 
-// MCOptions selects what a Monte-Carlo experiment materialises. The zero
-// value is the fully streaming path: O(1) result memory regardless of the
-// replication count. Session configures the same choices through the
-// WithKeepResults / WithKeepWasteRatios / WithOnResult options.
+// MCOptions selects what a Monte-Carlo experiment materialises and how
+// it replicates. Every experiment keeps its waste ratios privately (8
+// bytes per folded run) for the exact candlestick Summary; the zero value
+// retains nothing else. Session configures the same choices through the
+// WithKeepResults / WithOnResult / WithTargetCI / WithAntithetic options.
 type MCOptions struct {
 	// KeepResults retains every per-run Result in MCResult.Results —
 	// convenient for small experiments, O(runs) memory.
 	KeepResults bool
-	// KeepWasteRatios retains the per-run waste ratios and computes
-	// Summary by the exact sorted path (bit-identical to the classic
-	// batch API) at 8 bytes per run. When false the Summary comes from
-	// the online stats.Accumulator in O(1) memory.
-	KeepWasteRatios bool
 	// OnResult, when non-nil, receives every run's Result in strict run
 	// order (i ascending, 0-based). The Result is passed by value; the
 	// callback runs on the caller's goroutine.
@@ -150,8 +135,8 @@ type MCOptions struct {
 	// Antithetic pairs replicates (2i, 2i+1) on the same replicate seed
 	// with the odd member drawing from the complemented uniform streams
 	// (rng.SetAntithetic): pair averages estimate the same mean with the
-	// first-order noise cancelled. Per-run outputs (Results, WasteRatios,
-	// OnResult, Summary) stay per-replicate; only the CI estimator and
+	// first-order noise cancelled. Per-run outputs (Results, OnResult,
+	// Summary) stay per-replicate; only the CI estimator and
 	// sequential stopping operate on the pair averages. Use an even run
 	// count — a trailing unpaired replicate still counts in the summary
 	// but not in the CI estimator.
@@ -162,7 +147,7 @@ type MCOptions struct {
 	// reference series instead of the raw mean.
 	ciValue func(i int, wasteRatio float64) float64
 	// prefix holds the outcomes of runs 0..len(prefix)-1 of an
-	// interrupted experiment (streaming path only): they refold before
+	// interrupted experiment (not with KeepResults): they refold before
 	// dispatch starts at run len(prefix) — the crash-resilience seam of
 	// Session.MonteCarloResume.
 	prefix []Result
@@ -233,8 +218,11 @@ type mcFold struct {
 	// progress, when set, observes each folded run.
 	progress func()
 
-	mc          MCResult
-	acc         stats.Accumulator
+	mc MCResult
+	// wasteRatios holds every folded run's waste ratio in run order, for
+	// the exact Summary. It grows by append, never to the replicate cap:
+	// a budget can be far larger than the runs a stopping rule uses.
+	wasteRatios []float64
 	ciAcc       stats.Accumulator
 	pairEven    float64 // the even member awaiting its antithetic twin
 	util, fails float64
@@ -256,12 +244,6 @@ func newMCFold(cfg Config, runs int, opts MCOptions) *mcFold {
 	}
 	f := &mcFold{opts: opts, seq: seq, seqOn: seqOn, total: total, minRuns: minRuns}
 	f.mc = MCResult{Strategy: cfg.Strategy.Name()}
-	if opts.KeepResults {
-		f.mc.Results = make([]Result, total)
-	}
-	if opts.KeepWasteRatios {
-		f.mc.WasteRatios = make([]float64, total)
-	}
 	return f
 }
 
@@ -288,14 +270,10 @@ func (f *mcFold) fold(i int, r Result) (stop bool) {
 	if f.opts.OnResult != nil {
 		f.opts.OnResult(i, r)
 	}
-	if f.mc.Results != nil {
-		f.mc.Results[i] = r
+	if f.opts.KeepResults {
+		f.mc.Results = append(f.mc.Results, r)
 	}
-	if f.mc.WasteRatios != nil {
-		f.mc.WasteRatios[i] = r.WasteRatio
-	} else {
-		f.acc.Add(r.WasteRatio)
-	}
+	f.wasteRatios = append(f.wasteRatios, r.WasteRatio)
 	f.util += r.Utilization
 	f.fails += float64(r.Failures)
 	f.folded++
@@ -326,15 +304,7 @@ func (f *mcFold) fold(i int, r Result) (stop bool) {
 // finalize closes the experiment over the folded prefix.
 func (f *mcFold) finalize() MCResult {
 	mc := f.mc
-	if mc.Results != nil {
-		mc.Results = mc.Results[:f.folded]
-	}
-	if mc.WasteRatios != nil {
-		mc.WasteRatios = mc.WasteRatios[:f.folded]
-		mc.Summary = stats.Summarize(mc.WasteRatios)
-	} else {
-		mc.Summary = f.acc.Summary()
-	}
+	mc.Summary = stats.Summarize(f.wasteRatios)
 	mc.MeanUtilization = f.util / float64(f.folded)
 	mc.MeanFailures = f.fails / float64(f.folded)
 	mc.RunsUsed = f.folded

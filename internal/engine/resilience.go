@@ -29,14 +29,14 @@ func (e *PanicError) Error() string {
 // MonteCarloResume is Session.MonteCarlo continued from prefix: the
 // outcomes of runs 0..len(prefix)-1 of an interrupted experiment, in run
 // order, of which only WasteRatio, Utilization and Failures are read —
-// the values the streaming fold consumes, and what the campaign journal
+// the values the Monte-Carlo fold consumes, and what the campaign journal
 // records per replicate. The prefix refolds through the same fold
 // without reaching the OnResult hook or progress again, and dispatch
 // starts at run len(prefix); when the stopping rule fires or the budget
 // ends inside the prefix, the experiment finishes there. The CRN
 // schedule makes run i a pure function of (cfg.Seed, i), so the result
 // is bit-identical to the uninterrupted experiment. A non-empty prefix
-// requires the streaming path.
+// cannot restore per-run Results, so it refuses KeepResults.
 func (s *Session) MonteCarloResume(ctx context.Context, cfg Config, runs int, prefix []Result) (MCResult, error) {
 	opts := s.opts
 	opts.prefix = prefix

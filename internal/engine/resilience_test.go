@@ -196,19 +196,18 @@ func TestMonteCarloResumeSequentialStopping(t *testing.T) {
 	}
 }
 
-// TestResumeRequiresStreamingPath: resume is defined only on the
-// O(1)-memory path, and never past the experiment's budget.
+// TestResumeRequiresStreamingPath: resume cannot restore per-run
+// Results, so it refuses KeepResults, and never runs past the
+// experiment's budget.
 func TestResumeRequiresStreamingPath(t *testing.T) {
 	ctx := context.Background()
 	cfg := tinyConfig(OrderedNBDaly(), 1)
 	prefix := make([]Result, 2)
-	for _, opt := range []SessionOption{WithKeepWasteRatios(true), WithKeepResults(true)} {
-		_, err := NewSession(opt).MonteCarloResume(ctx, cfg, 4, prefix)
-		if err == nil || !strings.Contains(err.Error(), "streaming path") {
-			t.Fatalf("materialising resume accepted (err %v)", err)
-		}
+	_, err := NewSession(WithKeepResults(true)).MonteCarloResume(ctx, cfg, 4, prefix)
+	if err == nil || !strings.Contains(err.Error(), "streaming path") {
+		t.Fatalf("materialising resume accepted (err %v)", err)
 	}
-	_, err := NewSession().MonteCarloResume(ctx, cfg, 4, make([]Result, 9))
+	_, err = NewSession().MonteCarloResume(ctx, cfg, 4, make([]Result, 9))
 	if err == nil || !strings.Contains(err.Error(), "holds 9 replicates") {
 		t.Fatalf("overlong prefix accepted (err %v)", err)
 	}

@@ -30,8 +30,9 @@ import (
 // A Session is not safe for concurrent use: its arenas are single-owner
 // workspaces. Run concurrent campaigns from separate Sessions.
 //
-// The zero-argument NewSession() is ready to use: GOMAXPROCS workers and
-// the fully streaming O(1)-memory aggregation path.
+// The zero-argument NewSession() is ready to use: GOMAXPROCS workers, and
+// experiments that retain only their waste ratios (8 bytes per run) for
+// the exact candlestick Summary.
 type Session struct {
 	// workers bounds parallelism (0 means GOMAXPROCS); the effective
 	// worker count of an experiment never exceeds its replication count.
@@ -67,18 +68,10 @@ func WithKeepResults(keep bool) SessionOption {
 	return func(s *Session) { s.opts.KeepResults = keep }
 }
 
-// WithKeepWasteRatios retains the per-run waste ratios and computes each
-// Summary by the exact sorted path (bit-identical to the classic batch
-// API) at 8 bytes per run. Without it the Summary comes from the online
-// stats.Accumulator in O(1) memory.
-func WithKeepWasteRatios(keep bool) SessionOption {
-	return func(s *Session) { s.opts.KeepWasteRatios = keep }
-}
-
 // WithOnResult streams every run's Result to fn in strict run order
 // (i ascending, 0-based) on the caller's goroutine, then drops it —
-// the O(1)-memory observation hook. A Sweep calls it point by point, in
-// grid order.
+// the observation hook that retains nothing. A Sweep calls it point by
+// point, in grid order.
 func WithOnResult(fn func(i int, r Result)) SessionOption {
 	return func(s *Session) { s.opts.OnResult = fn }
 }
@@ -319,11 +312,10 @@ type PairedComparison struct {
 // order (the reference's CI is on its own mean) and one PairedComparison
 // per non-reference strategy.
 //
-// The reference replicates are materialised (O(runs) memory) to serve as
-// the difference baseline, so its Summary is the exact sorted statistic.
-// Under sequential stopping the reference stops on its own mean first and
-// the other strategies never run past its replicate count — pairing needs
-// both series at every index.
+// The reference's waste ratios are captured (8 bytes per run) to serve
+// as the difference baseline. Under sequential stopping the reference
+// stops on its own mean first and the other strategies never run past
+// its replicate count — pairing needs both series at every index.
 func (s *Session) ComparePaired(ctx context.Context, base Config, strategies []Strategy, runs int) ([]MCResult, []PairedComparison, error) {
 	if len(strategies) < 2 {
 		return nil, nil, fmt.Errorf("engine: paired comparison needs at least two strategies, got %d", len(strategies))
@@ -333,16 +325,19 @@ func (s *Session) ComparePaired(ctx context.Context, base Config, strategies []S
 	cmps := make([]PairedComparison, 0, len(strategies)-1)
 
 	refOpts := s.opts
-	refOpts.KeepWasteRatios = true
+	var refVals []float64
+	refUser := refOpts.OnResult
+	refOpts.OnResult = func(i int, r Result) {
+		refVals = append(refVals, r.WasteRatio)
+		if refUser != nil {
+			refUser(i, r)
+		}
+	}
 	refCfg := base
 	refCfg.Strategy = strategies[0]
 	refMC, err := s.monteCarlo(ctx, refCfg, runs, refOpts, s.progressFrom(0, total))
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine: paired reference (%s): %w", strategies[0].Name(), err)
-	}
-	refVals := refMC.WasteRatios
-	if !s.opts.KeepWasteRatios {
-		refMC.WasteRatios = nil
 	}
 	out = append(out, refMC)
 
@@ -391,14 +386,12 @@ func (s *Session) ComparePaired(ctx context.Context, base Config, strategies []S
 // efficiency"). The mean waste is monotone in bandwidth up to Monte-Carlo
 // noise; `runs` controls that noise, `steps` the bisection depth (<= 0
 // selects 12). Every probe of the bisection reconfigures the session's
-// warm arenas and streams its replications in O(1) memory; the
-// accumulator's mean is the same ordered sum as the batch path, so the
-// bisection decisions are bit-identical to materialising every run. The
-// probes bypass the session's WithOnResult and WithProgress hooks (the
-// probe count is search-dependent, so there is no campaign total to
-// report against) but honour WithTargetCI and WithAntithetic: a target
-// CI lets every probe stop as soon as its mean is resolved tightly
-// enough, which is where sequential stopping pays off most — the
+// warm arenas and retains no per-run Results, whatever the session's
+// options. The probes bypass the session's WithOnResult and WithProgress
+// hooks (the probe count is search-dependent, so there is no campaign
+// total to report against) but honour WithTargetCI and WithAntithetic:
+// a target CI lets every probe stop as soon as its mean is resolved
+// tightly enough, which is where sequential stopping pays off most — the
 // bisection multiplies any per-probe saving by its depth.
 func (s *Session) MinBandwidth(ctx context.Context, cfg Config, targetEfficiency, loBps, hiBps float64, runs, steps int) (float64, error) {
 	if targetEfficiency <= 0 || targetEfficiency >= 1 {
@@ -411,9 +404,9 @@ func (s *Session) MinBandwidth(ctx context.Context, cfg Config, targetEfficiency
 		steps = 12
 	}
 	maxWaste := 1 - targetEfficiency
-	// Bisection probes stream through the lean path regardless of the
-	// session's materialisation options: only the mean decides, and the
-	// per-run hooks are experiment observers, not probe observers.
+	// Bisection probes ignore the session's materialisation options:
+	// only the mean decides, and the per-run hooks are experiment
+	// observers, not probe observers.
 	meanWaste := func(bps float64) (float64, error) {
 		c := cfg
 		c.Platform.BandwidthBps = bps

@@ -143,8 +143,8 @@ func TestSessionMonteCarloShimBitIdentity(t *testing.T) {
 	for _, strat := range AllStrategies() {
 		t.Run(strat.Name(), func(t *testing.T) {
 			cfg := tinyConfig(strat, 23)
-			want := serialMonteCarlo(t, cfg, 4, MCOptions{KeepResults: true, KeepWasteRatios: true})
-			s := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true))
+			want := serialMonteCarlo(t, cfg, 4, MCOptions{KeepResults: true})
+			s := NewSession(WithWorkers(2), WithKeepResults(true))
 			got, err := s.MonteCarlo(ctx, cfg, 4)
 			if err != nil {
 				t.Fatal(err)
@@ -221,8 +221,8 @@ func TestSessionSweepShimBitIdentity(t *testing.T) {
 		Strategies:    AllStrategies(),
 	}
 	const runs = 2
-	want := serialSweep(t, base, grid, runs, MCOptions{KeepWasteRatios: true})
-	gotPts, gotMCs := collectSweep(t, NewSession(WithWorkers(2), WithKeepWasteRatios(true)), base, grid, runs)
+	want := serialSweep(t, base, grid, runs, MCOptions{KeepResults: true})
+	gotPts, gotMCs := collectSweep(t, NewSession(WithWorkers(2), WithKeepResults(true)), base, grid, runs)
 	if !reflect.DeepEqual(grid.Points(base), gotPts) {
 		t.Fatalf("sweep points diverged from the grid enumeration:\n got %+v", gotPts)
 	}
@@ -236,9 +236,9 @@ func TestSessionSweepShimBitIdentity(t *testing.T) {
 func TestSessionCompareShimBitIdentity(t *testing.T) {
 	base := tinyConfig(Strategy{}, 53)
 	strategies := AllStrategies()
-	keep := MCOptions{KeepResults: true, KeepWasteRatios: true}
+	keep := MCOptions{KeepResults: true}
 	want := serialSweep(t, base, SweepGrid{Strategies: strategies}, 2, keep)
-	s := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true))
+	s := NewSession(WithWorkers(2), WithKeepResults(true))
 	got, err := s.Compare(context.Background(), base, strategies, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +295,7 @@ func TestSessionMinBandwidthShimBitIdentity(t *testing.T) {
 // fresh evaluation: the warm pool must be reconfigured, never leak state.
 func TestSessionCampaignArenaReuse(t *testing.T) {
 	ctx := context.Background()
-	s := NewSession(WithWorkers(2), WithKeepWasteRatios(true))
+	s := NewSession(WithWorkers(2), WithKeepResults(true))
 
 	cfgA := tinyConfig(LeastWaste(), 61)
 	cfgB := tinyConfig(OrderedFixed(), 61)
@@ -310,7 +310,7 @@ func TestSessionCampaignArenaReuse(t *testing.T) {
 		t.Fatal("campaign stage 1 (Run) diverged from fresh evaluation")
 	}
 
-	wantMC, err := sessionMC(cfgA, 3, WithWorkers(2), WithKeepWasteRatios(true))
+	wantMC, err := sessionMC(cfgA, 3, WithWorkers(2), WithKeepResults(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestSessionCampaignArenaReuse(t *testing.T) {
 	points, errf := s.Sweep(ctx, cfgB, grid, 2)
 	for pt, mc := range points {
 		cfg := pt.Apply(cfgB)
-		want, err := sessionMC(cfg, 2, WithWorkers(2), WithKeepWasteRatios(true))
+		want, err := sessionMC(cfg, 2, WithWorkers(2), WithKeepResults(true))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/platform"
@@ -21,87 +23,43 @@ func streamCfg() Config {
 }
 
 // TestMonteCarloStreamMatchesBatch proves the streaming path reproduces
-// the batch experiment exactly: same seeds, identical WasteRatios order,
-// identical Summary, with no per-run Results retained.
+// the batch experiment exactly: same seeds, identical per-run order and
+// an identical MCResult apart from the Results the batch path retains.
 func TestMonteCarloStreamMatchesBatch(t *testing.T) {
 	const runs = 12
 	cfg := streamCfg()
 
-	batch, err := sessionMC(cfg, runs, WithWorkers(3), WithKeepResults(true), WithKeepWasteRatios(true))
+	batch, err := sessionMC(cfg, runs, WithWorkers(3), WithKeepResults(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var streamed []float64
-	wantIdx := 0
+	var streamed []Result
 	mc, err := sessionMC(cfg, runs, WithWorkers(3), WithOnResult(func(i int, r Result) {
-		if i != wantIdx {
-			t.Fatalf("OnResult index %d, want %d (strict run order)", i, wantIdx)
+		if i != len(streamed) {
+			t.Fatalf("OnResult index %d, want %d (strict run order)", i, len(streamed))
 		}
-		wantIdx++
-		streamed = append(streamed, r.WasteRatio)
+		streamed = append(streamed, r)
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wantIdx != runs {
-		t.Fatalf("callback fired %d times, want %d", wantIdx, runs)
+	if mc.Results != nil {
+		t.Fatal("streaming path retained per-run Results")
 	}
-	if mc.Results != nil || mc.WasteRatios != nil {
-		t.Fatal("streaming path retained per-run memory")
+	if !reflect.DeepEqual(streamed, batch.Results) {
+		t.Fatalf("streamed results differ from batch")
 	}
-	if !reflect.DeepEqual(streamed, batch.WasteRatios) {
-		t.Fatalf("streamed ratios differ from batch:\n  stream %v\n  batch  %v", streamed, batch.WasteRatios)
-	}
-	// Rebuilding the exact summary from the streamed values must be
-	// byte-identical to the batch summary.
-	if got := stats.Summarize(streamed); got != batch.Summary {
-		t.Fatalf("Summarize(streamed) = %+v != batch %+v", got, batch.Summary)
-	}
-	// Secondary aggregates come from the same ordered sums.
-	if mc.MeanUtilization != batch.MeanUtilization || mc.MeanFailures != batch.MeanFailures {
-		t.Fatalf("stream means (%v, %v) != batch (%v, %v)",
-			mc.MeanUtilization, mc.MeanFailures, batch.MeanUtilization, batch.MeanFailures)
-	}
-	// Exact moments survive the online path bit-for-bit; quantiles are
-	// P² estimates only beyond the accumulator's exact-sample window, so
-	// at 12 runs the whole summary must match exactly.
-	if mc.Summary != batch.Summary {
-		t.Fatalf("stream summary %+v != batch %+v", mc.Summary, batch.Summary)
+	batch.Results = nil
+	if !reflect.DeepEqual(mc, batch) {
+		t.Fatalf("stream result %+v != batch %+v", mc, batch)
 	}
 }
 
-// TestMonteCarloOptsKeepWasteRatios proves the middle path — no Result
-// structs, exact sorted summary — is byte-identical to batch.
-func TestMonteCarloOptsKeepWasteRatios(t *testing.T) {
-	const runs = 10
-	cfg := streamCfg()
-	cfg.Strategy = OrderedNBDaly()
-
-	batch, err := sessionMC(cfg, runs, WithWorkers(4), WithKeepResults(true), WithKeepWasteRatios(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lean, err := sessionMC(cfg, runs, WithWorkers(4), WithKeepWasteRatios(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lean.Results != nil {
-		t.Fatal("KeepResults=false retained Results")
-	}
-	if !reflect.DeepEqual(lean.WasteRatios, batch.WasteRatios) {
-		t.Fatal("waste ratios differ from batch")
-	}
-	if lean.Summary != batch.Summary {
-		t.Fatalf("summary %+v != batch %+v", lean.Summary, batch.Summary)
-	}
-}
-
-// TestMonteCarloStreamLargeReplication is the 10k-replicate acceptance
-// check: a KeepResults=false experiment holds no per-run Result structs,
-// streams every run in order, and its statistics match the batch path —
-// byte-identical Summary when rebuilt from the streamed values, and
-// exact-moment/tight-quantile agreement for the fully online Summary.
+// TestMonteCarloStreamLargeReplication is the large-replication check: a
+// streaming experiment far past any small-sample window summarises its
+// waste ratios exactly — its Summary is Summarize over the streamed
+// values, bit for bit, and the whole MCResult equals the plain path's.
 // The replication count is trimmed under -short.
 func TestMonteCarloStreamLargeReplication(t *testing.T) {
 	runs := 10_000
@@ -112,10 +70,7 @@ func TestMonteCarloStreamLargeReplication(t *testing.T) {
 	cfg.HorizonDays = 3
 	cfg.Strategy = OrderedDaly()
 
-	// Batch-path reference statistics without batch-path memory: the
-	// exact sorted Summary needs only the waste ratios (8 B/run here in
-	// the test), never the Result structs.
-	exact, err := sessionMC(cfg, runs, WithKeepWasteRatios(true))
+	plain, err := sessionMC(cfg, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,45 +81,41 @@ func TestMonteCarloStreamLargeReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stream.Results != nil || stream.WasteRatios != nil {
-		t.Fatal("streaming path retained per-run memory")
+	if stream.Results != nil || plain.Results != nil {
+		t.Fatal("experiment retained per-run Results without KeepResults")
 	}
-	if !reflect.DeepEqual(collected, exact.WasteRatios) {
-		t.Fatal("streamed ratios differ from the batch path")
+	if got := stats.Summarize(collected); got != stream.Summary {
+		t.Fatalf("stream summary %+v != Summarize(streamed) %+v", stream.Summary, got)
 	}
-	// The batch Summary rebuilt from the stream is byte-identical.
-	if got := stats.Summarize(collected); got != exact.Summary {
-		t.Fatalf("Summarize(streamed) = %+v != batch %+v", got, exact.Summary)
+	if !reflect.DeepEqual(stream, plain) {
+		t.Fatalf("stream result %+v != plain %+v", stream, plain)
 	}
+}
 
-	if stream.Summary.N != exact.Summary.N {
-		t.Fatalf("N %d != %d", stream.Summary.N, exact.Summary.N)
-	}
-	// The ordered-sum mean and exact extremes are bit-identical.
-	if stream.Summary.Mean != exact.Summary.Mean {
-		t.Errorf("stream mean %v != exact %v (must be bit-identical)", stream.Summary.Mean, exact.Summary.Mean)
-	}
-	if stream.Summary.Min != exact.Summary.Min || stream.Summary.Max != exact.Summary.Max {
-		t.Errorf("stream extremes (%v,%v) != exact (%v,%v)",
-			stream.Summary.Min, stream.Summary.Max, exact.Summary.Min, exact.Summary.Max)
-	}
-	if d := stream.Summary.StdDev - exact.Summary.StdDev; d > 1e-9 || d < -1e-9 {
-		t.Errorf("stream stddev %v vs exact %v", stream.Summary.StdDev, exact.Summary.StdDev)
-	}
-	// P² quantiles: within 5% of the sample spread of the exact values
-	// (short-horizon waste distributions are lumpy — discrete failure
-	// counts — which is the estimator's hardest case).
-	spread := exact.Summary.Max - exact.Summary.Min
-	quant := func(name string, got, want float64) {
-		if d := got - want; d > 0.05*spread || d < -0.05*spread {
-			t.Errorf("%s: P² %v vs exact %v (spread %v)", name, got, want, spread)
+// TestMonteCarloBuffersGrowWithFoldedRuns: a replicate cap far above the
+// runs a stopping rule uses must not be allocated up front — neither for
+// the waste ratios every experiment keeps nor for KeepResults.
+func TestMonteCarloBuffersGrowWithFoldedRuns(t *testing.T) {
+	cfg := tinyConfig(OrderedNBDaly(), 3)
+	const budget = 1 << 22
+	for _, keep := range []bool{false, true} {
+		s := NewSession(WithWorkers(1), WithKeepResults(keep), WithTargetCI(10, 0, 0, 0))
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		mc, err := s.MonteCarlo(context.Background(), cfg, budget)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mc.RunsUsed != 8 {
+			t.Fatalf("keep=%v: RunsUsed = %d, want the MinRuns default 8", keep, mc.RunsUsed)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 8<<20 {
+			t.Fatalf("keep=%v: an 8-run experiment with a %d-run cap allocated %.1f MB, want < 8 MB",
+				keep, budget, float64(d)/(1<<20))
 		}
 	}
-	quant("P10", stream.Summary.P10, exact.Summary.P10)
-	quant("P25", stream.Summary.P25, exact.Summary.P25)
-	quant("P50", stream.Summary.P50, exact.Summary.P50)
-	quant("P75", stream.Summary.P75, exact.Summary.P75)
-	quant("P90", stream.Summary.P90, exact.Summary.P90)
 }
 
 // TestMonteCarloStreamErrorPropagation: an invalid configuration

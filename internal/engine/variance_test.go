@@ -23,7 +23,7 @@ func TestCompareCRNBitIdentity(t *testing.T) {
 	strategies := AllStrategies()
 	const runs = 3
 
-	s := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true))
+	s := NewSession(WithWorkers(2), WithKeepResults(true))
 	compared, err := s.Compare(ctx, base, strategies, runs)
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +31,7 @@ func TestCompareCRNBitIdentity(t *testing.T) {
 	for k, strat := range strategies {
 		cfg := base
 		cfg.Strategy = strat
-		solo, err := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true)).
+		solo, err := NewSession(WithWorkers(2), WithKeepResults(true)).
 			MonteCarlo(ctx, cfg, runs)
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)
@@ -65,7 +65,6 @@ func TestSessionTargetCIStopsEarly(t *testing.T) {
 	s := NewSession(
 		WithWorkers(3),
 		WithKeepResults(true),
-		WithKeepWasteRatios(true),
 		WithOnResult(func(i int, r Result) { streamed = append(streamed, i) }),
 		WithTargetCI(10, 0, 0, 0), // waste ratios are O(1): satisfied immediately
 	)
@@ -76,9 +75,9 @@ func TestSessionTargetCIStopsEarly(t *testing.T) {
 	if mc.RunsUsed != 8 { // the documented MinRuns default
 		t.Fatalf("RunsUsed = %d, want the default MinRuns 8", mc.RunsUsed)
 	}
-	if len(mc.Results) != 8 || len(mc.WasteRatios) != 8 || mc.Summary.N != 8 {
-		t.Fatalf("materialisations not truncated to the stopped prefix: results %d, ratios %d, summary N %d",
-			len(mc.Results), len(mc.WasteRatios), mc.Summary.N)
+	if len(mc.Results) != 8 || mc.Summary.N != 8 {
+		t.Fatalf("materialisations not truncated to the stopped prefix: results %d, summary N %d",
+			len(mc.Results), mc.Summary.N)
 	}
 	for i, d := range streamed {
 		if d != i {
@@ -137,12 +136,12 @@ func TestSessionTargetCIBounds(t *testing.T) {
 func TestSessionTargetCIPrefixBitIdentity(t *testing.T) {
 	ctx := context.Background()
 	cfg := tinyConfig(LeastWaste(), 43)
-	stopped, err := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true),
+	stopped, err := NewSession(WithWorkers(2), WithKeepResults(true),
 		WithTargetCI(10, 0, 0, 0)).MonteCarlo(ctx, cfg, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true)).
+	fixed, err := NewSession(WithWorkers(2), WithKeepResults(true)).
 		MonteCarlo(ctx, cfg, stopped.RunsUsed)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +159,7 @@ func TestSessionAntitheticArenaPairing(t *testing.T) {
 	ctx := context.Background()
 	cfg := tinyConfig(OrderedNBDaly(), 17)
 	const runs = 6
-	mc, err := NewSession(WithWorkers(2), WithKeepResults(true), WithKeepWasteRatios(true),
+	mc, err := NewSession(WithWorkers(2), WithKeepResults(true),
 		WithAntithetic(true)).MonteCarlo(ctx, cfg, runs)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +185,7 @@ func TestSessionAntitheticArenaPairing(t *testing.T) {
 	}
 	var pairAvg stats.Accumulator
 	for i := 0; i+1 < runs; i += 2 {
-		pairAvg.Add((mc.WasteRatios[i] + mc.WasteRatios[i+1]) / 2)
+		pairAvg.Add((mc.Results[i].WasteRatio + mc.Results[i+1].WasteRatio) / 2)
 	}
 	if want := pairAvg.HalfWidth(0.95); math.Abs(mc.CIHalfWidth-want) > 1e-15 {
 		t.Fatalf("antithetic CIHalfWidth = %v, want pair-average half-width %v", mc.CIHalfWidth, want)
@@ -248,7 +247,7 @@ func TestSessionComparePaired(t *testing.T) {
 	strategies := []Strategy{OrderedNBDaly(), LeastWaste(), OrderedDaly()}
 	const runs = 8
 
-	s := NewSession(WithWorkers(2), WithKeepWasteRatios(true))
+	s := NewSession(WithWorkers(2), WithKeepResults(true))
 	mcs, cmps, err := s.ComparePaired(ctx, base, strategies, runs)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +258,7 @@ func TestSessionComparePaired(t *testing.T) {
 
 	refCfg := base
 	refCfg.Strategy = strategies[0]
-	solo, err := NewSession(WithWorkers(2), WithKeepWasteRatios(true)).MonteCarlo(ctx, refCfg, runs)
+	solo, err := NewSession(WithWorkers(2), WithKeepResults(true)).MonteCarlo(ctx, refCfg, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,9 +274,10 @@ func TestSessionComparePaired(t *testing.T) {
 		}
 		var pa stats.PairedAccumulator
 		var diff stats.Accumulator
-		for i := range mc.WasteRatios {
-			pa.Add(mc.WasteRatios[i], mcs[0].WasteRatios[i])
-			diff.Add(mc.WasteRatios[i] - mcs[0].WasteRatios[i])
+		for i, r := range mc.Results {
+			ref := mcs[0].Results[i].WasteRatio
+			pa.Add(r.WasteRatio, ref)
+			diff.Add(r.WasteRatio - ref)
 		}
 		if cmp.N != runs {
 			t.Fatalf("comparison %d N = %d, want %d", k, cmp.N, runs)

@@ -193,9 +193,6 @@ func keyOK(key string) bool {
 }
 
 func clone(mc engine.MCResult) engine.MCResult {
-	if mc.WasteRatios != nil {
-		mc.WasteRatios = append([]float64(nil), mc.WasteRatios...)
-	}
 	if mc.Results != nil {
 		mc.Results = append([]engine.Result(nil), mc.Results...)
 	}

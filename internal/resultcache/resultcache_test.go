@@ -20,7 +20,6 @@ func sample() engine.MCResult {
 	return engine.MCResult{
 		Strategy:        "Ordered-Daly",
 		Summary:         stats.Summary{N: 3, Mean: 0.4, Min: 0.3, Max: 0.5, StdDev: 0.1},
-		WasteRatios:     []float64{0.3, 0.4, 0.5},
 		MeanUtilization: 0.9,
 		RunsUsed:        3,
 		Confidence:      0.95,
@@ -37,6 +36,7 @@ func TestMemoryTierRoundTrip(t *testing.T) {
 		t.Fatal("empty cache reported a hit")
 	}
 	want := sample()
+	want.Results = []engine.Result{{WasteRatio: 0.3}, {WasteRatio: 0.4}, {WasteRatio: 0.5}}
 	c.Put(key, want)
 	got, ok := c.Get(key)
 	if !ok {
@@ -48,10 +48,10 @@ func TestMemoryTierRoundTrip(t *testing.T) {
 
 	// Clone semantics both ways: mutating the caller's copies must not
 	// reach the cache.
-	got.WasteRatios[0] = 99
-	want.WasteRatios[0] = 98
+	got.Results[0].WasteRatio = 99
+	want.Results[0].WasteRatio = 98
 	again, _ := c.Get(key)
-	if again.WasteRatios[0] != 0.3 {
+	if again.Results[0].WasteRatio != 0.3 {
 		t.Fatal("cache entry aliased a caller slice")
 	}
 

@@ -2,56 +2,27 @@ package stats
 
 import "math"
 
-// smallN is the sample count up to which the accumulator keeps the raw
-// observations and summarises them exactly; beyond it the P² estimators
-// take over and memory stays constant.
-const smallN = 64
-
-// Accumulator computes Summary statistics online in O(1) memory: exact
-// running mean (plain ordered summation, bit-identical to Mean over the
-// same sequence), Welford variance, exact min/max, and P² estimates of
-// the candlestick quantiles (Jain & Chlamtac, CACM 1985). It backs the
-// engine's streaming Monte-Carlo path, where million-run experiments
-// cannot afford to materialise per-run results.
+// Accumulator folds observations into their running count, mean and
+// variance in O(1) memory: the mean is a plain ordered sum (bit-identical
+// to Mean over the same sequence) and the variance follows Welford's
+// recurrence. It backs the confidence interval of the engine's
+// Monte-Carlo fold and its sequential-stopping rule; the candlestick
+// quantiles are computed exactly by Summarize.
 //
 // The zero value is ready to use.
 type Accumulator struct {
 	n        int
 	sum      float64
 	mean, m2 float64 // Welford recurrence
-	min, max float64
-	// head holds the first smallN observations: small samples are
-	// summarised exactly, and the P² markers initialise from real data.
-	head  [smallN]float64
-	quant [5]p2 // P10 P25 P50 P75 P90
 }
-
-// quantileProbs are the candlestick quantiles of Summary, in order.
-var quantileProbs = [5]float64{0.10, 0.25, 0.50, 0.75, 0.90}
 
 // Add folds one observation into the running statistics.
 func (a *Accumulator) Add(x float64) {
-	if a.n == 0 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
-	if a.n < smallN {
-		a.head[a.n] = x
-	}
 	a.n++
 	a.sum += x
 	d := x - a.mean
 	a.mean += d / float64(a.n)
 	a.m2 += d * (x - a.mean)
-	for i := range a.quant {
-		a.quant[i].add(quantileProbs[i], x)
-	}
 }
 
 // N returns the number of observations.
@@ -88,279 +59,4 @@ func (a *Accumulator) HalfWidth(confidence float64) float64 {
 		return math.Inf(1)
 	}
 	return ZScore(confidence) * a.StdDev() / math.Sqrt(float64(a.n))
-}
-
-// Merge folds the other accumulator's observations into a, as if every
-// observation of both streams had been Added to a single accumulator.
-// Count, sum, mean, variance, min and max merge exactly (mean and M2 via
-// the Chan et al. parallel update, equal to single-stream accumulation up
-// to floating-point rounding, independent of merge order). The P²
-// quantile markers merge exactly while either side still holds its raw
-// head sample (n ≤ 64, replayed observation by observation); two
-// large-sample estimators merge approximately — marker heights blend by
-// sample weight, marker positions add — which is the same estimate-of-an-
-// estimate trade every P² value already makes. other is not modified.
-func (a *Accumulator) Merge(other *Accumulator) {
-	if other == nil || other.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *other
-		return
-	}
-	if other.n <= smallN {
-		// other's head is its complete observation set: replay is an
-		// exact merge.
-		for _, x := range other.head[:other.n] {
-			a.Add(x)
-		}
-		return
-	}
-	if a.n <= smallN {
-		// Symmetric case: replay a's complete head into a copy of other.
-		merged := *other
-		for _, x := range a.head[:a.n] {
-			merged.Add(x)
-		}
-		*a = merged
-		return
-	}
-	// Both sides are beyond the exact window: combine the moments exactly
-	// and the quantile markers approximately.
-	na, nb := float64(a.n), float64(other.n)
-	delta := other.mean - a.mean
-	a.m2 += other.m2 + delta*delta*na*nb/(na+nb)
-	a.mean += delta * nb / (na + nb)
-	a.sum += other.sum
-	if other.min < a.min {
-		a.min = other.min
-	}
-	if other.max > a.max {
-		a.max = other.max
-	}
-	for i := range a.quant {
-		a.quant[i].merge(&other.quant[i], quantileProbs[i])
-	}
-	a.n += other.n
-}
-
-// Min returns the smallest observation (NaN when empty).
-func (a *Accumulator) Min() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.min
-}
-
-// Max returns the largest observation (NaN when empty).
-func (a *Accumulator) Max() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.max
-}
-
-// Quantile returns the online estimate of the q-quantile for the
-// candlestick probabilities (0.10, 0.25, 0.50, 0.75, 0.90); other
-// probabilities panic. Small samples (n ≤ 64) are answered exactly.
-func (a *Accumulator) Quantile(q float64) float64 {
-	for i, p := range quantileProbs {
-		if p == q {
-			if a.n <= smallN {
-				return a.exactQuantile(q)
-			}
-			return a.quant[i].value(p)
-		}
-	}
-	panic("stats: Accumulator tracks only the candlestick quantiles")
-}
-
-// exactQuantile sorts a copy of the retained head sample.
-func (a *Accumulator) exactQuantile(q float64) float64 {
-	var buf [smallN]float64
-	s := buf[:a.n]
-	copy(s, a.head[:a.n])
-	insertionSort(s)
-	return Quantile(s, q)
-}
-
-// Summary assembles the candlestick set. For n ≤ 64 it equals
-// Summarize over the same observations exactly; beyond that the
-// quantiles are P² estimates while N, Mean, Min and Max remain exact and
-// StdDev matches the two-pass value to floating-point noise.
-func (a *Accumulator) Summary() Summary {
-	if a.n == 0 {
-		return Summary{}
-	}
-	if a.n <= smallN {
-		return Summarize(a.head[:a.n])
-	}
-	s := Summary{
-		N:    a.n,
-		Mean: a.Mean(),
-		Min:  a.min,
-		Max:  a.max,
-		P10:  a.quant[0].value(quantileProbs[0]),
-		P25:  a.quant[1].value(quantileProbs[1]),
-		P50:  a.quant[2].value(quantileProbs[2]),
-		P75:  a.quant[3].value(quantileProbs[3]),
-		P90:  a.quant[4].value(quantileProbs[4]),
-	}
-	if a.n >= 2 {
-		s.StdDev = a.StdDev()
-	}
-	return s
-}
-
-// insertionSort keeps the exact small-n path allocation-free.
-func insertionSort(s []float64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// p2 is one P² quantile estimator: five markers whose heights track the
-// quantile curve as observations stream through.
-type p2 struct {
-	n    int
-	q    [5]float64 // marker heights
-	pos  [5]float64 // marker positions (1-based counts)
-	want [5]float64 // desired positions
-}
-
-// add folds one observation into the estimator for probability p.
-func (e *p2) add(p, x float64) {
-	if e.n < 5 {
-		// Collect the first five observations sorted.
-		i := e.n
-		for i > 0 && e.q[i-1] > x {
-			e.q[i] = e.q[i-1]
-			i--
-		}
-		e.q[i] = x
-		e.n++
-		if e.n == 5 {
-			for k := 0; k < 5; k++ {
-				e.pos[k] = float64(k + 1)
-			}
-			e.want = [5]float64{1, 1 + 2*p, 1 + 4*p, 3 + 2*p, 5}
-		}
-		return
-	}
-
-	// Locate the cell of x, extending the extreme markers if needed.
-	var k int
-	switch {
-	case x < e.q[0]:
-		e.q[0] = x
-		k = 0
-	case x >= e.q[4]:
-		e.q[4] = x
-		k = 3
-	default:
-		for k = 0; k < 3; k++ {
-			if x < e.q[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		e.pos[i]++
-	}
-	e.n++
-	inc := [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-	for i := 0; i < 5; i++ {
-		e.want[i] += inc[i]
-	}
-
-	// Adjust the interior markers toward their desired positions.
-	for i := 1; i <= 3; i++ {
-		d := e.want[i] - e.pos[i]
-		if (d >= 1 && e.pos[i+1]-e.pos[i] > 1) || (d <= -1 && e.pos[i-1]-e.pos[i] < -1) {
-			s := 1.0
-			if d < 0 {
-				s = -1.0
-			}
-			// Degenerate cell: with equal neighbour heights (tied
-			// samples) there is nothing to interpolate — the marker
-			// keeps the common value and only its position advances.
-			// Without this guard the parabolic prediction drifts the
-			// marker off a run of exactly-equal observations.
-			if e.q[i-1] < e.q[i+1] {
-				nq := e.parabolic(i, s)
-				if e.q[i-1] < nq && nq < e.q[i+1] {
-					e.q[i] = nq
-				} else {
-					e.q[i] = e.linear(i, s)
-				}
-			}
-			e.pos[i] += s
-		}
-	}
-}
-
-// parabolic is the P² piecewise-parabolic height prediction.
-func (e *p2) parabolic(i int, d float64) float64 {
-	return e.q[i] + d/(e.pos[i+1]-e.pos[i-1])*
-		((e.pos[i]-e.pos[i-1]+d)*(e.q[i+1]-e.q[i])/(e.pos[i+1]-e.pos[i])+
-			(e.pos[i+1]-e.pos[i]-d)*(e.q[i]-e.q[i-1])/(e.pos[i]-e.pos[i-1]))
-}
-
-// linear is the fallback height prediction when the parabola overshoots.
-func (e *p2) linear(i int, d float64) float64 {
-	j := i + int(d)
-	return e.q[i] + d*(e.q[j]-e.q[i])/(e.pos[j]-e.pos[i])
-}
-
-// value returns the current estimate of the p-quantile: the middle
-// marker once the estimator is initialised, and the exact interpolated
-// quantile of the sorted collected sample for n < 5 (the collection
-// phase keeps q[:n] sorted). Callers normally answer n ≤ 64 from the
-// accumulator's exact head instead; this guard makes the estimator
-// well-defined on its own, e.g. straight after a Merge.
-func (e *p2) value(p float64) float64 {
-	if e.n == 0 {
-		return math.NaN()
-	}
-	if e.n < 5 {
-		return Quantile(e.q[:e.n], p)
-	}
-	return e.q[2]
-}
-
-// merge approximately folds another initialised estimator for the same
-// probability p into e (both with n >= 5): marker heights blend by
-// sample weight, marker counts add, and the desired positions are
-// recomputed from the combined count. The merged markers are repaired to
-// the P² invariants — heights non-decreasing, positions strictly
-// increasing with pos[0] = 1 and pos[4] = n — so subsequent adds stay
-// well-defined.
-func (e *p2) merge(o *p2, p float64) {
-	wa := float64(e.n) / float64(e.n+o.n)
-	for k := 0; k < 5; k++ {
-		e.q[k] = wa*e.q[k] + (1-wa)*o.q[k]
-		e.pos[k] += o.pos[k]
-	}
-	insertionSort(e.q[:])
-	e.n += o.n
-	n := float64(e.n)
-	e.pos[0] = 1
-	e.pos[4] = n
-	for k := 1; k <= 3; k++ {
-		if e.pos[k] <= e.pos[k-1] {
-			e.pos[k] = e.pos[k-1] + 1
-		}
-	}
-	for k := 3; k >= 1; k-- {
-		if e.pos[k] >= e.pos[k+1] {
-			e.pos[k] = e.pos[k+1] - 1
-		}
-	}
-	e.want = [5]float64{1, 1 + 2*p, 1 + 4*p, 3 + 2*p, 5}
-	inc := [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-	for k := range e.want {
-		e.want[k] += (n - 5) * inc[k]
-	}
 }

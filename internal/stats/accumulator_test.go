@@ -19,78 +19,53 @@ func synth(seed uint64, n int) []float64 {
 	return xs
 }
 
+// checkMoments cross-validates the online moments of xs against the
+// two-pass functions.
+func checkMoments(t *testing.T, xs []float64) {
+	t.Helper()
+	n := len(xs)
+	var a Accumulator
+	for _, x := range xs {
+		a.Add(x)
+	}
+	if a.N() != n {
+		t.Fatalf("n=%d: N = %d", n, a.N())
+	}
+	// Mean is a plain ordered sum in both paths: bit-identical.
+	if a.Mean() != Mean(xs) {
+		t.Errorf("n=%d: Mean %v != exact %v (must be bit-identical)", n, a.Mean(), Mean(xs))
+	}
+	if n < 2 {
+		if !math.IsNaN(a.Variance()) {
+			t.Errorf("n=%d: variance %v, want NaN", n, a.Variance())
+		}
+		return
+	}
+	// Welford vs two-pass agree to floating-point noise.
+	if rel := math.Abs(a.StdDev()-StdDev(xs)) / StdDev(xs); rel > 1e-9 {
+		t.Errorf("n=%d: StdDev %v vs exact %v (rel err %.3g > 1e-9)", n, a.StdDev(), StdDev(xs), rel)
+	}
+}
+
+// TestAccumulatorSmallNExact checks the moments from a single observation
+// up to a few dozen, where the n < 2 variance edge case lives.
 func TestAccumulatorSmallNExact(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 17, smallN} {
-		xs := synth(uint64(n), n)
-		var a Accumulator
-		for _, x := range xs {
-			a.Add(x)
-		}
-		want := Summarize(xs)
-		got := a.Summary()
-		if got != want {
-			t.Fatalf("n=%d: accumulator summary %+v != exact %+v", n, got, want)
-		}
+	for _, n := range []int{1, 2, 5, 17, 64, 65} {
+		checkMoments(t, synth(uint64(n), n))
 	}
 }
 
 func TestAccumulatorExactMoments(t *testing.T) {
-	xs := synth(7, 5000)
-	var a Accumulator
-	for _, x := range xs {
-		a.Add(x)
-	}
-	exact := Summarize(xs)
-	got := a.Summary()
-
-	// Mean is a plain ordered sum in both paths: bit-identical.
-	if got.Mean != exact.Mean {
-		t.Errorf("Mean %v != exact %v (must be bit-identical)", got.Mean, exact.Mean)
-	}
-	if got.Min != exact.Min || got.Max != exact.Max {
-		t.Errorf("Min/Max (%v,%v) != exact (%v,%v)", got.Min, got.Max, exact.Min, exact.Max)
-	}
-	if got.N != exact.N {
-		t.Errorf("N %d != %d", got.N, exact.N)
-	}
-	// Welford vs two-pass agree to floating-point noise.
-	if rel := math.Abs(got.StdDev-exact.StdDev) / exact.StdDev; rel > 1e-9 {
-		t.Errorf("StdDev %v vs exact %v (rel err %.3g > 1e-9)", got.StdDev, exact.StdDev, rel)
-	}
-}
-
-// TestAccumulatorQuantilesConverge cross-validates the P² estimates
-// against the exact sorted-slice quantiles on a large sample: the paper's
-// candlestick quantiles must land within a small fraction of the sample
-// range.
-func TestAccumulatorQuantilesConverge(t *testing.T) {
-	xs := synth(11, 20000)
-	var a Accumulator
-	for _, x := range xs {
-		a.Add(x)
-	}
-	exact := Summarize(xs)
-	got := a.Summary()
-	spread := exact.Max - exact.Min
-	check := func(name string, est, ref float64) {
-		if math.Abs(est-ref)/spread > 0.01 {
-			t.Errorf("%s: P² %v vs exact %v (|Δ| > 1%% of range %v)", name, est, ref, spread)
-		}
-	}
-	check("P10", got.P10, exact.P10)
-	check("P25", got.P25, exact.P25)
-	check("P50", got.P50, exact.P50)
-	check("P75", got.P75, exact.P75)
-	check("P90", got.P90, exact.P90)
+	checkMoments(t, synth(7, 5000))
 }
 
 func TestAccumulatorEmpty(t *testing.T) {
 	var a Accumulator
-	if s := a.Summary(); s != (Summary{}) {
-		t.Fatalf("empty accumulator summary %+v, want zero", s)
-	}
-	if !math.IsNaN(a.Mean()) || !math.IsNaN(a.Variance()) {
+	if a.N() != 0 || !math.IsNaN(a.Mean()) || !math.IsNaN(a.Variance()) {
 		t.Fatal("empty accumulator moments not NaN")
+	}
+	if !math.IsInf(a.HalfWidth(0.95), 1) {
+		t.Fatal("empty accumulator half-width not +Inf")
 	}
 }
 
@@ -103,20 +78,4 @@ func TestAccumulatorConstantMemory(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Add allocates %v per op, want 0", allocs)
 	}
-}
-
-func TestAccumulatorQuantileAccessor(t *testing.T) {
-	var a Accumulator
-	for _, x := range synth(3, 300) {
-		a.Add(x)
-	}
-	if a.Quantile(0.50) != a.Summary().P50 {
-		t.Fatal("Quantile(0.5) disagrees with Summary().P50")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("untracked quantile did not panic")
-		}
-	}()
-	a.Quantile(0.42)
 }

@@ -83,14 +83,3 @@ func (p *PairedAccumulator) VarianceReduction() float64 {
 	}
 	return indep / vd
 }
-
-// Merge folds another paired accumulator into p (cross-worker sharding;
-// see Accumulator.Merge for the exactness contract).
-func (p *PairedAccumulator) Merge(other *PairedAccumulator) {
-	if other == nil {
-		return
-	}
-	p.diff.Merge(&other.diff)
-	p.x.Merge(&other.x)
-	p.y.Merge(&other.y)
-}

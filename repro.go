@@ -32,7 +32,7 @@
 //		Seed:     1,
 //	}
 //	ctx := context.Background()
-//	s := repro.NewSession(repro.WithKeepWasteRatios(true))
+//	s := repro.NewSession()
 //	res, err := s.Run(ctx, cfg)               // one 60-day simulation
 //	mc, err := s.MonteCarlo(ctx, cfg, 100)    // candlestick over 100 runs
 //
@@ -93,7 +93,8 @@ type (
 	// MCResult aggregates a Monte-Carlo experiment.
 	MCResult = engine.MCResult
 	// MCOptions selects what a Monte-Carlo experiment materialises; the
-	// zero value is the fully streaming O(1)-memory path. Sessions set
+	// zero value keeps only the waste ratios the exact candlestick needs
+	// (8 bytes per run). Sessions set
 	// the same choices through their options; ExperimentKey takes it
 	// directly.
 	MCOptions = engine.MCOptions
@@ -111,8 +112,8 @@ type (
 	// use.
 	Session = engine.Session
 	// SessionOption configures a Session at construction (WithWorkers,
-	// WithKeepResults, WithKeepWasteRatios, WithOnResult, WithProgress,
-	// WithTargetCI, WithAntithetic, WithResultCache).
+	// WithKeepResults, WithOnResult, WithProgress, WithTargetCI,
+	// WithAntithetic, WithResultCache).
 	SessionOption = engine.SessionOption
 	// ResultCache is the content-addressed Monte-Carlo result store a
 	// session consults under WithResultCache; resultcache.New builds the
@@ -132,8 +133,10 @@ type (
 	// Summary is the candlestick statistic set (mean, deciles,
 	// quartiles).
 	Summary = stats.Summary
-	// Accumulator folds samples into candlestick statistics online in
-	// O(1) memory (exact mean/min/max, Welford variance, P² quantiles).
+	// Accumulator folds samples into their running mean (an exact
+	// ordered sum) and Welford variance in O(1) memory, with the normal
+	// confidence-interval half-width the sequential-stopping rule uses.
+	// Candlestick quantiles come from Summarize over the samples.
 	Accumulator = stats.Accumulator
 	// PairedAccumulator folds a common-random-numbers comparison online:
 	// the statistics of the per-replicate differences of two estimators
@@ -369,8 +372,8 @@ func RegisterStrategy(name string, mk func() Strategy) { engine.RegisterStrategy
 
 // NewSession builds an experiment driver: a warm per-worker arena pool
 // plus functional options, shared by every experiment the session runs.
-// The zero-argument form is ready to use (GOMAXPROCS workers, fully
-// streaming O(1)-memory aggregation).
+// The zero-argument form is ready to use (GOMAXPROCS workers, exact
+// candlestick summaries at 8 bytes per run, no per-run Results kept).
 func NewSession(opts ...SessionOption) *Session { return engine.NewSession(opts...) }
 
 // WithWorkers bounds an experiment's parallelism (0 = GOMAXPROCS). The
@@ -381,12 +384,8 @@ func WithWorkers(n int) SessionOption { return engine.WithWorkers(n) }
 // (O(runs) memory).
 func WithKeepResults(keep bool) SessionOption { return engine.WithKeepResults(keep) }
 
-// WithKeepWasteRatios retains per-run waste ratios and computes each
-// Summary by the exact sorted path (8 bytes per run).
-func WithKeepWasteRatios(keep bool) SessionOption { return engine.WithKeepWasteRatios(keep) }
-
 // WithOnResult streams every run's Result to fn in strict run order on
-// the caller's goroutine — the O(1)-memory observation hook.
+// the caller's goroutine, then drops it.
 func WithOnResult(fn func(i int, r Result)) SessionOption { return engine.WithOnResult(fn) }
 
 // WithProgress reports campaign progress as (done, total) replicate

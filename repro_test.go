@@ -182,7 +182,6 @@ func TestPublicSession(t *testing.T) {
 	session := repro.NewSession(
 		repro.WithWorkers(2),
 		repro.WithKeepResults(true),
-		repro.WithKeepWasteRatios(true),
 	)
 
 	res, err := session.Run(ctx, cfg)
@@ -201,9 +200,9 @@ func TestPublicSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mc.Summary.N != 4 || len(mc.Results) != 4 || len(mc.WasteRatios) != 4 {
-		t.Fatalf("MonteCarlo materialised %d results, %d ratios over N=%d; want 4 each",
-			len(mc.Results), len(mc.WasteRatios), mc.Summary.N)
+	if mc.Summary.N != 4 || len(mc.Results) != 4 {
+		t.Fatalf("MonteCarlo materialised %d results over N=%d; want 4 each",
+			len(mc.Results), mc.Summary.N)
 	}
 
 	grid := repro.SweepGrid{Strategies: []repro.Strategy{repro.ObliviousFixed(), repro.LeastWaste()}}
